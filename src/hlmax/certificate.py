@@ -27,7 +27,7 @@ from .errors import (
     HypothesisViolationError,
     NonSettlingTailError,
 )
-from .geometry import doubling_cap_x2, sphere_ball_cap
+from .geometry import cap_containment_params, sphere_ball_cap
 from .logspace import LN2, NEG_INF, LogValue, log_sum
 from .radial import (
     RadialDensity,
@@ -79,13 +79,7 @@ class Certificate:
             raise DomainError("stored bound does not match its terms")
 
     def recompute_log_lower(self) -> float:
-        wq = 0.0 if self.p == 1.0 else 1.0 - 1.0 / self.p
-        return (
-            wq * self.term_inner.log_magnitude
-            + self.term_level.log_magnitude / self.p
-            - LN2
-            - self.term_denom.log_magnitude
-        )
+        return _witness_log(self.p, self.term_inner, self.term_level, self.term_denom)
 
     @property
     def alpha_log(self) -> float:
@@ -197,6 +191,59 @@ class LebesgueBallResult:
 # -- core operation ----------------------------------------------------------
 
 
+def _weight_q(p: float) -> float:
+    """1/q, the weight of the inner term (exactly 0 at p = 1)."""
+    return 0.0 if p == 1.0 else 1.0 - 1.0 / p
+
+
+def _witness_log(p: float, inner: LogValue, level: LogValue, denom: LogValue) -> float:
+    return (
+        _weight_q(p) * inner.log_magnitude
+        + level.log_magnitude / p
+        - LN2
+        - denom.log_magnitude
+    )
+
+
+@dataclass(frozen=True)
+class WitnessTerms:
+    """The p-independent part of the witness bound at (v, R): the measures
+    mu(B(0, vR)), mu(B(0, R)) and mu(B(R e1, H)). Only the weights that
+    combine them depend on p, so one instance serves every p."""
+
+    density: RadialDensity
+    v: float
+    R: float
+    H: float
+    inner: LogValue
+    level: LogValue
+    denom: LogValue
+
+    @classmethod
+    def prepare(
+        cls, density: RadialDensity, v: float, R: float, rel_tol: float = None
+    ) -> "WitnessTerms":
+        if not (0.0 < v <= 1.0):
+            raise DomainError(f"v must lie in (0, 1], got {v}")
+        if R <= 0.0:
+            raise DomainError(f"R must be positive, got {R}")
+        H = R * math.sqrt(1.0 + v * v)
+        inner = log_ball_at_origin(density, v * R, rel_tol)
+        if inner.is_zero:
+            raise EmptyTestFunctionError(f"mu(B(0, {v * R})) = 0: empty test function")
+        level = log_ball_at_origin(density, R, rel_tol)
+        denom = log_ball_offcenter(density, R, H, rel_tol)
+        return cls(density, v, R, H, inner, level, denom)
+
+    def certificate(self, p: float, construction: str = "lemma_direct") -> Certificate:
+        """The witness bound at exponent p."""
+        return Certificate(
+            self.density, p, conjugate_exponent(p), self.v, self.R, self.H,
+            self.inner, self.level, self.denom,
+            _witness_log(p, self.inner, self.level, self.denom), construction,
+        )
+
+
 def lemma_certificate(
     density: RadialDensity,
     p: float,
@@ -210,38 +257,8 @@ def lemma_certificate(
     At p = 1 the conjugate weight 1/q vanishes and the bound collapses to
     mu(B(0,R)) / (2 mu(B(R e1, H))).
     """
-    if p < 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if not (0.0 < v <= 1.0):
-        raise DomainError(f"v must lie in (0, 1], got {v}")
-    if R <= 0.0:
-        raise DomainError(f"R must be positive, got {R}")
-    H = R * math.sqrt(1.0 + v * v)
-    inner = log_ball_at_origin(density, v * R, rel_tol)
-    if inner.is_zero:
-        raise EmptyTestFunctionError(f"mu(B(0, {v * R})) = 0: empty test function")
-    level = log_ball_at_origin(density, R, rel_tol)
-    denom = log_ball_offcenter(density, R, H, rel_tol)
-    wq = 0.0 if p == 1.0 else 1.0 - 1.0 / p
-    low = (
-        wq * inner.log_magnitude
-        + level.log_magnitude / p
-        - LN2
-        - denom.log_magnitude
-    )
-    return Certificate(
-        density=density,
-        p=p,
-        q=conjugate_exponent(p),
-        v=v,
-        R=R,
-        H=H,
-        term_inner=inner,
-        term_level=level,
-        term_denom=denom,
-        log_lower_bound=low,
-        construction=construction,
-    )
+    conjugate_exponent(p)  # reject p < 1 before any quadrature
+    return WitnessTerms.prepare(density, v, R, rel_tol).certificate(p, construction)
 
 
 # -- growth-hypothesis machinery ---------------------------------------------
@@ -259,25 +276,30 @@ def _log_h(density: RadialDensity, u: float, R: float, rel_tol) -> float:
     return growth_h(density, u, R, rel_tol).log_magnitude
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 24):
-    """Golden-section maximum of f over [lo, hi] (log-spaced argument)."""
+def golden_section_max(f, a: float, b: float, iters: int, tol: float = 0.0):
+    """Golden-section search for a maximum of f on [a, b].
+
+    Stops after ``iters`` steps or once the bracket is narrower than
+    ``tol``; returns (x, f(x)) for the better of the two final probes. A
+    log-spaced search passes the transformed variable, e.g.
+    ``lambda x: g(math.exp(x))`` over [log lo, log hi].
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
+    fc, fd = f(c), f(d)
     for _ in range(iters):
+        if b - a < tol:
+            break
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(math.exp(c))
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(math.exp(d))
-    if fc > fd:
-        return math.exp(c), fc
-    return math.exp(d), fd
+            fd = f(d)
+    return (c, fc) if fc > fd else (d, fd)
 
 
 def _check_hypothesis_and_pick_r1(
@@ -300,11 +322,12 @@ def _check_hypothesis_and_pick_r1(
 
     # sup over R > 0, sharpened around the grid argmax
     i_max = int(np.argmax(h_vals))
-    lo = grid[max(i_max - 1, 0)]
-    hi = grid[min(i_max + 1, len(grid) - 1)]
-    sup_loc, sup_est = _golden_max(
-        lambda R: _log_h(density, u, R, rel_tol), lo, hi
+    lo = math.log(grid[max(i_max - 1, 0)])
+    hi = math.log(grid[min(i_max + 1, len(grid) - 1)])
+    x, sup_est = golden_section_max(
+        lambda x: _log_h(density, u, math.exp(x), rel_tol), lo, hi, 24
     )
+    sup_loc = math.exp(x)
     if h_vals[i_max] > sup_est:
         sup_loc, sup_est = grid[i_max], h_vals[i_max]
     if sup_est < log_thr_sup - 1e-9:
@@ -372,9 +395,11 @@ def _check_hypothesis_and_pick_r1(
         for _ in range(90):  # bisect the upper boundary of the admissible set
             mid = math.sqrt(r_lo * r_hi)
             if _log_h(density, u, mid, rel_tol) >= thr_a:
-                r_lo = mid
+                moved, r_lo = mid != r_lo, mid
             else:
-                r_hi = mid
+                moved, r_hi = mid != r_hi, mid
+            if not moved:
+                break  # a fixed point: every later step would repeat this one
         if window_ok(r_lo):
             return report, r_lo
     raise HypothesisViolationError(
@@ -389,7 +414,7 @@ def _check_hypothesis_and_pick_r1(
 
 def _cap_upper_log(s: float, t: float, d: int) -> float:
     """Log of the explicit cap-area upper estimate t^(d-1) sqrt(1+1/d) /
-    (s sqrt(2 pi d))."""
+    (s sqrt(2 pi d)); t = 1 gives the estimate's constant alone."""
     return (
         (d - 1) * math.log(t)
         + 0.5 * math.log1p(1.0 / d)
@@ -429,6 +454,42 @@ def decp_explicit_constant(d: int) -> float:
     return math.sqrt(d) * (4.0 * math.exp(decp_denominator_factor_log(d, 0.0)) - 4.0)
 
 
+@dataclass(frozen=True)
+class DecpTerms:
+    """What a decp certificate shares across p: growth evidence, R1 and the
+    witness terms at (1/2, R1)."""
+
+    witness: WitnessTerms
+    epsilon: float
+    hypothesis: HypothesisReport
+
+    @classmethod
+    def prepare(
+        cls, density: RadialDensity, epsilon: float = 0.01, rel_tol: float = None
+    ) -> "DecpTerms":
+        log_tau = (density.dim / 6.0) * math.log(64.0 / 55.0)
+        report, r1 = _check_hypothesis_and_pick_r1(
+            density, U_SPLIT, log_tau, log_tau, log_tau, epsilon, rel_tol
+        )
+        return cls(WitnessTerms.prepare(density, 0.5, r1, rel_tol), epsilon, report)
+
+    def result(self, p: float) -> DecpResult:
+        cert = self.witness.certificate(p, "decp")
+        floor = decp_analytic_floor(cert.density.dim, p, self.epsilon)
+        p0 = critical_p("decp")
+        degenerate = p >= p0
+        if degenerate:
+            warnings.warn(
+                f"p = {p} >= {p0:.6f}: the certificate base 2^(1/p) 55^(-1/6) is <= 1, "
+                "so the bound no longer grows with dimension",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return DecpResult(
+            cert, floor, self.epsilon, self.witness.R, self.hypothesis, degenerate
+        )
+
+
 def decp_certificate(
     density: RadialDensity,
     p: float,
@@ -442,23 +503,59 @@ def decp_certificate(
     R1 together with the analytic floor, whose sqrt(d) constants come from
     the explicit cap estimates.
     """
-    d = density.dim
-    log_tau = (d / 6.0) * math.log(64.0 / 55.0)
-    report, r1 = _check_hypothesis_and_pick_r1(
-        density, U_SPLIT, log_tau, log_tau, log_tau, epsilon, rel_tol
-    )
-    cert = lemma_certificate(density, p, 0.5, r1, rel_tol, construction="decp")
-    floor = decp_analytic_floor(d, p, epsilon)
-    p0 = critical_p("decp")
-    degenerate = p >= p0
-    if degenerate:
-        warnings.warn(
-            f"p = {p} >= {p0:.6f}: the certificate base 2^(1/p) 55^(-1/6) is <= 1, "
-            "so the bound no longer grows with dimension",
-            RuntimeWarning,
-            stacklevel=2,
+    return DecpTerms.prepare(density, epsilon, rel_tol).result(p)
+
+
+@dataclass(frozen=True)
+class GeneralizedDecpTerms:
+    """What a decp-generalized certificate shares across p: growth evidence,
+    the witness terms at (1/2, R1), the chain decay beta and p0."""
+
+    witness: WitnessTerms
+    hypothesis: HypothesisReport
+    beta_log: float
+    p0: float
+
+    @classmethod
+    def prepare(
+        cls,
+        density: RadialDensity,
+        t0: float,
+        t1: float,
+        epsilon: float = 0.01,
+        rel_tol: float = None,
+    ) -> "GeneralizedDecpTerms":
+        if not (0.0 < t0 < 1.0):
+            raise DomainError(f"t0 must lie in (0, 1), got {t0}")
+        if not (0.0 < t1 < T1_MAX):
+            raise DomainError(f"t1 must lie in (0, {T1_MAX:.6f}), got {t1}")
+        d = density.dim
+        lu = -math.log(U_SPLIT)
+        t_bar = max(t0, t1)
+        report, r1 = _check_hypothesis_and_pick_r1(
+            density, U_SPLIT, t0 * d * lu, t1 * d * lu, t_bar * d * lu, epsilon, rel_tol
         )
-    return DecpResult(cert, floor, epsilon, r1, report, degenerate)
+        witness = WitnessTerms.prepare(density, 0.5, r1, rel_tol)
+        beta_log = max(
+            -t0 * lu,
+            2.0 * t_bar * lu + math.log(_OUT_CAP.t),
+            math.log(_MID_CAP.t),
+        )
+        return cls(witness, report, beta_log, math.log(2.0) / (LN2 + beta_log))
+
+    def result(self, p: float) -> GeneralizedDecpResult:
+        cert = self.witness.certificate(p, "decp_generalized")
+        b = math.exp(math.log(2.0) / p - LN2 - self.beta_log)
+        degenerate = b <= 1.0
+        if degenerate:
+            warnings.warn(
+                f"p = {p} >= p0 = {self.p0:.6f}: chain base b <= 1",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return GeneralizedDecpResult(
+            cert, self.p0, b, self.beta_log, self.hypothesis, degenerate
+        )
 
 
 def decp_generalized_certificate(
@@ -482,34 +579,53 @@ def decp_generalized_certificate(
     b(p0) = 1. With t1 below log(64/55)/log(9/4) the outer-shell piece stays
     below 1, so p0 > 1 always.
     """
-    if not (0.0 < t0 < 1.0):
-        raise DomainError(f"t0 must lie in (0, 1), got {t0}")
-    if not (0.0 < t1 < T1_MAX):
-        raise DomainError(f"t1 must lie in (0, {T1_MAX:.6f}), got {t1}")
-    d = density.dim
-    lu = -math.log(U_SPLIT)
-    t_bar = max(t0, t1)
-    report, r1 = _check_hypothesis_and_pick_r1(
-        density, U_SPLIT, t0 * d * lu, t1 * d * lu, t_bar * d * lu, epsilon, rel_tol
-    )
-    cert = lemma_certificate(
-        density, p, 0.5, r1, rel_tol, construction="decp_generalized"
-    )
-    beta_log = max(
-        -t0 * lu,
-        2.0 * t_bar * lu + math.log(_OUT_CAP.t),
-        math.log(_MID_CAP.t),
-    )
-    b = math.exp(math.log(2.0) / p - LN2 - beta_log)
-    p0 = math.log(2.0) / (LN2 + beta_log)
-    degenerate = b <= 1.0
-    if degenerate:
-        warnings.warn(
-            f"p = {p} >= p0 = {p0:.6f}: chain base b <= 1",
-            RuntimeWarning,
-            stacklevel=2,
+    return GeneralizedDecpTerms.prepare(density, t0, t1, epsilon, rel_tol).result(p)
+
+
+@dataclass(frozen=True)
+class DoublingTerms:
+    """What a doubling certificate shares across p: the witness terms of
+    f(r) = r^(-t d) at (v, R) = (1/2, 1)."""
+
+    witness: WitnessTerms
+
+    @classmethod
+    def prepare(cls, t: float, d: int, rel_tol: float = None) -> "DoublingTerms":
+        return cls(WitnessTerms.prepare(RadialDensity.power(d, t), 0.5, 1.0, rel_tol))
+
+    def result(self, p: float, p0_budget: float, c: float) -> DoublingResult:
+        if p0_budget < p:
+            raise DomainError(f"p0_budget must be >= p, got {p0_budget} < {p}")
+        limit = 2.0 ** (1.0 / p0_budget)
+        if not (1.0 < c < limit):
+            raise DomainError(
+                f"c must lie in (1, 2^(1/p0)) = (1, {limit:.6f}) so the base "
+                f"2^(1/p0)/c exceeds 1; got {c}"
+            )
+        cert = self.witness.certificate(p, "doubling")
+        d, t = cert.density.dim, cert.density.t
+        a = (1.0 - t) * d
+        log_sigma = _log_sphere_area(d)
+        inner = log_sigma + a * math.log(c / 2.0) - math.log(a)
+        cone = cap_containment_params(c)
+        middle = (
+            log_sigma
+            - math.log(a)
+            + (d - 1) * math.log(cone.t)
+            + _cap_upper_log(cone.s, 1.0, d)
         )
-    return GeneralizedDecpResult(cert, p0, b, beta_log, report, degenerate)
+        outer = (
+            log_sigma
+            - math.log(a)
+            + a * math.log1p(math.sqrt(5.0) / 2.0)
+            + (d - 1) * math.log(_OUT_CAP.t)
+            + _cap_upper_log(_OUT_CAP.s, 1.0, d)
+        )
+        dominance = middle <= inner and outer <= inner
+        d0 = _doubling_d0(cone.s)
+        b0 = min(6.0 ** (1.0 / d0), limit / c)
+        floor = -math.log(6.0) + a * (math.log(2.0) / p - math.log(c))
+        return DoublingResult(cert, floor, inner, middle, outer, dominance, d0, b0)
 
 
 def doubling_certificate(
@@ -527,51 +643,46 @@ def doubling_certificate(
     closed-form terms, the dimension d0(c) beyond which the cap constants
     drop below 1, and b0 = min(6^(1/d0), 2^(1/p0) / c).
     """
-    if p0_budget < p:
-        raise DomainError(f"p0_budget must be >= p, got {p0_budget} < {p}")
-    limit = 2.0 ** (1.0 / p0_budget)
-    if not (1.0 < c < limit):
-        raise DomainError(
-            f"c must lie in (1, 2^(1/p0)) = (1, {limit:.6f}) so the base "
-            f"2^(1/p0)/c exceeds 1; got {c}"
-        )
-    density = RadialDensity.power(d, t)
-    cert = lemma_certificate(density, p, 0.5, 1.0, rel_tol, construction="doubling")
-    a = (1.0 - t) * d
-    log_sigma = _log_sphere_area(d)
-    inner = log_sigma + a * math.log(c / 2.0) - math.log(a)
-    s_mid = (c * c - 1.0) / (4.0 * c)
-    x2 = doubling_cap_x2(c)
-    middle = log_sigma - math.log(a) + (d - 1) * math.log(x2) + _cap_const_log(s_mid, d)
-    outer = (
-        log_sigma
-        - math.log(a)
-        + a * math.log1p(math.sqrt(5.0) / 2.0)
-        + (d - 1) * math.log(_OUT_CAP.t)
-        + _cap_const_log(_OUT_CAP.s, d)
-    )
-    dominance = middle <= inner and outer <= inner
-    d0 = _doubling_d0(c)
-    b0 = min(6.0 ** (1.0 / d0), limit / c)
-    floor = -math.log(6.0) + a * (math.log(2.0) / p - math.log(c))
-    return DoublingResult(cert, floor, inner, middle, outer, dominance, d0, b0)
+    return DoublingTerms.prepare(t, d, rel_tol).result(p, p0_budget, c)
 
 
-def _cap_const_log(s: float, d: int) -> float:
-    """Log of sqrt(1+1/d) / (s sqrt(2 pi d)): the cap estimate's constant."""
-    return 0.5 * math.log1p(1.0 / d) - math.log(s) - 0.5 * math.log(2.0 * math.pi * d)
-
-
-def _doubling_d0(c: float) -> int:
+def _doubling_d0(s_mid: float) -> int:
     """Smallest dimension with both cap constants at most 1."""
-    s_mid = (c * c - 1.0) / (4.0 * c)
     s = min(s_mid, _OUT_CAP.s)
     d0 = max(2, int(1.0 / (2.0 * math.pi * s * s)) - 2)
-    while _cap_const_log(s, d0) > 0.0:
+    while _cap_upper_log(s, 1.0, d0) > 0.0:
         d0 += 1
-    while d0 > 2 and _cap_const_log(s, d0 - 1) <= 0.0:
+    while d0 > 2 and _cap_upper_log(s, 1.0, d0 - 1) <= 0.0:
         d0 -= 1
     return d0
+
+
+@dataclass(frozen=True)
+class LebesgueBallTerms:
+    """What a lebesgue-ball certificate shares across p: the witness terms
+    of the restricted Lebesgue measure at (v, R) = (1/2, 1)."""
+
+    witness: WitnessTerms
+
+    @classmethod
+    def prepare(cls, d: int, rel_tol: float = None) -> "LebesgueBallTerms":
+        if d < 2:
+            raise DomainError(f"d >= 2 required (the floor uses a (d-1)-ball), got {d}")
+        density = RadialDensity.restricted_lebesgue(d)
+        return cls(WitnessTerms.prepare(density, 0.5, 1.0, rel_tol))
+
+    def result(self, p: float) -> LebesgueBallResult:
+        cert = self.witness.certificate(p, "lebesgue_ball")
+        d = cert.density.dim
+        floor = (
+            -d * _weight_q(p) * LN2
+            + _log_ball_volume(d)
+            - LN2
+            - _log_ball_volume(d - 1)
+            + math.log(3.0 * (d + 1) / 16.0)
+            + (d + 1) * math.log(8.0 / math.sqrt(55.0))
+        )
+        return LebesgueBallResult(cert, floor)
 
 
 def lebesgue_ball_certificate(
@@ -582,22 +693,7 @@ def lebesgue_ball_certificate(
 
         (1/2)^(d/q) * vol(B^d) / (2 vol(B^{d-1})) * 3(d+1)/16 * (8/sqrt55)^(d+1).
     """
-    if d < 2:
-        raise DomainError(f"d >= 2 required (the floor uses a (d-1)-ball), got {d}")
-    density = RadialDensity.restricted_lebesgue(d)
-    cert = lemma_certificate(
-        density, p, 0.5, 1.0, rel_tol, construction="lebesgue_ball"
-    )
-    wq = 0.0 if p == 1.0 else 1.0 - 1.0 / p
-    floor = (
-        -d * wq * LN2
-        + _log_ball_volume(d)
-        - LN2
-        - _log_ball_volume(d - 1)
-        + math.log(3.0 * (d + 1) / 16.0)
-        + (d + 1) * math.log(8.0 / math.sqrt(55.0))
-    )
-    return LebesgueBallResult(cert, floor)
+    return LebesgueBallTerms.prepare(d, rel_tol).result(p)
 
 
 # -- v optimization ----------------------------------------------------------
@@ -645,23 +741,8 @@ def optimize_v(
         return v_star, lemma_certificate(density, p, v_star, R, rel_tol)
     lo = float(vs[max(i - 1, 0)])
     hi = float(vs[min(i + 1, len(vs) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    cpt = b - invphi * (b - a)
-    dpt = a + invphi * (b - a)
-    fc, fd = bound(cpt), bound(dpt)
-    for _ in range(40):
-        if b - a < 1e-7:
-            break
-        if fc > fd:
-            b, dpt, fd = dpt, cpt, fc
-            cpt = b - invphi * (b - a)
-            fc = bound(cpt)
-        else:
-            a, cpt, fc = cpt, dpt, fd
-            dpt = a + invphi * (b - a)
-            fd = bound(dpt)
-    v_star = float(min(cpt if fc > fd else dpt, 1.0))
+    x, _ = golden_section_max(bound, lo, hi, 40, tol=1e-7)
+    v_star = float(min(x, 1.0))
     return v_star, lemma_certificate(density, p, v_star, R, rel_tol)
 
 

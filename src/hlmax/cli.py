@@ -1,9 +1,14 @@
 """Command-line front end: certify, scan, oracle, caps, critical-p.
 
 Exit codes: 0 success, 1 usage/domain error, 2 growth-hypothesis violation,
-3 oracle soundness failure. Identical invocations (including seeds) produce
+3 oracle soundness failure, 4 numerical failure (a kernel could not reach
+its accuracy target). Identical invocations (including seeds) produce
 byte-identical output; all bounds are printed both as natural logs and as
 per-dimension rates.
+
+certify and scan share one construction table and its flags; scan prepares
+the p-independent terms once per d, then assembles each p (``--jobs`` is
+accepted and ignored).
 """
 from __future__ import annotations
 
@@ -14,29 +19,25 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, is_dataclass
+from typing import Callable
 
-from . import certificate as cert_mod
 from .certificate import (
-    Certificate,
+    DecpTerms,
+    DoublingTerms,
+    GeneralizedDecpTerms,
+    LebesgueBallTerms,
     ScanRow,
+    WitnessTerms,
     besicovitch_upper,
     critical_p,
-    decp_certificate,
-    decp_generalized_certificate,
-    doubling_certificate,
-    lebesgue_ball_certificate,
-    lemma_certificate,
 )
-from .errors import DomainError, HypothesisViolationError
+from .errors import DomainError, HypothesisViolationError, NumericalError
 from .oracle import run_oracle
 from .radial import RadialDensity, density_from_mapping, parse_kv
 from .specfun import CapSpec, cap_area_bounds, cap_area_exact
 
 OUTPUT_DIR_ENV = "HLMAX_OUTPUT_DIR"
-
-CONSTRUCTIONS = ("lemma", "decp", "decp-generalized", "doubling", "lebesgue-ball")
 
 
 class UsageError(Exception):
@@ -46,23 +47,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully resolved."""
-
-    command: str
-    family: str | None = None
-    t: float | None = None
-    segments: str | None = None
-    d_values: list[int] = field(default_factory=list)
-    p_values: list[float] = field(default_factory=list)
-    construction: str | None = None
-    fmt: str = "json"
-    output: str | None = None
-    seed: int = 0
-    tol: float | None = None
 
 
 def _range_spec(text: str) -> list[float]:
@@ -123,151 +107,97 @@ def _csv_cell(value):
     return value
 
 
-# -- certify -----------------------------------------------------------------
+# -- constructions -----------------------------------------------------------
 
 
-def _certify_record(args) -> dict:
-    d = args.d
-    p = args.p
-    construction = args.construction
-    if construction == "lebesgue-ball":
-        res = lebesgue_ball_certificate(d, p, rel_tol=args.tol)
-        rec = res.certificate.to_record()
-        _attach_floor(rec, res.floor_log, d)
-        return rec
-    if construction == "doubling":
-        if args.t is None or args.c is None:
-            raise UsageError("doubling needs --t and --c")
-        budget = args.p0_budget if args.p0_budget is not None else p
-        res = doubling_certificate(args.t, d, p, budget, args.c, rel_tol=args.tol)
-        rec = res.certificate.to_record()
-        _attach_floor(rec, res.floor_log, (1.0 - args.t) * d)
-        rec.update(
-            {
-                "inner_term_log": res.inner_term_log,
-                "middle_bound_log": res.middle_bound_log,
-                "outer_bound_log": res.outer_bound_log,
-                "dominance_ok": res.dominance_ok,
-                "d0": res.d0,
-                "b0": res.b0,
-                "c": args.c,
-                "p0_budget": budget,
-            }
-        )
-        return rec
-    density = _build_density(args, d)
-    if construction == "lemma":
-        cert = lemma_certificate(density, p, args.v, args.R, rel_tol=args.tol)
-        return cert.to_record()
-    if construction == "decp":
-        res = decp_certificate(density, p, epsilon=args.epsilon, rel_tol=args.tol)
-        rec = res.certificate.to_record()
-        _attach_floor(rec, res.floor_log, d)
-        rec.update(
-            {
-                "epsilon": res.epsilon,
-                "r1": res.r1,
-                "degenerate_rate": res.degenerate_rate,
-                "hypothesis": _hypothesis_dict(res.hypothesis),
-            }
-        )
-        return rec
-    if construction == "decp-generalized":
-        if args.t0 is None or args.t1 is None:
-            raise UsageError("decp-generalized needs --t0 and --t1")
-        res = decp_generalized_certificate(
-            density, p, args.t0, args.t1, epsilon=args.epsilon, rel_tol=args.tol
-        )
-        rec = res.certificate.to_record()
-        rec.update(
-            {
-                "p0": res.p0,
-                "b": res.b,
-                "beta_log": res.beta_log,
-                "degenerate_rate": res.degenerate_rate,
-                "hypothesis": _hypothesis_dict(res.hypothesis),
-            }
-        )
-        return rec
-    raise UsageError(f"unknown construction {construction!r}")
+@dataclass(frozen=True)
+class Construction:
+    """One certificate construction, shared by certify and scan."""
+
+    required: tuple[str, ...]  # flags without a default that it needs
+    prepare: Callable  # (args, d) -> the p-independent terms for one d
+    record: Callable  # (terms, args, p) -> the certify record at p
+    family: str = ""  # scan's family column when --family is not given
 
 
-def _attach_floor(rec: dict, floor_log: float, rate_divisor: float) -> None:
-    rec["floor_log_lower_bound"] = floor_log
-    rec["floor_rate_per_dim"] = floor_log / rec["d"]
-    rec["floor_provenance"] = "floor"
-    rec["exact_dominates_floor"] = rec["log_lower_bound"] >= floor_log - 1e-9
+def _record(res, *names: str, **extra) -> dict:
+    """The certify record of a construction result: its certificate, the
+    analytic floor where it has one, the result fields ``names`` (nested
+    reports as dicts), then ``extra``."""
+    rec = res.certificate.to_record()
+    floor_log = getattr(res, "floor_log", None)
+    if floor_log is not None:
+        rec["floor_log_lower_bound"] = floor_log
+        rec["floor_rate_per_dim"] = floor_log / rec["d"]
+        rec["floor_provenance"] = "floor"
+        rec["exact_dominates_floor"] = rec["log_lower_bound"] >= floor_log - 1e-9
+    for name in names:
+        value = getattr(res, name)
+        rec[name] = asdict(value) if is_dataclass(value) else value
+    rec.update(extra)
+    return rec
 
 
-def _hypothesis_dict(rep) -> dict:
-    return {
-        "u": rep.u,
-        "sup_required_log": rep.sup_required_log,
-        "sup_estimate_log": rep.sup_estimate_log,
-        "sup_location": rep.sup_location,
-        "tail_required_log": rep.tail_required_log,
-        "tail_radii": list(rep.tail_radii),
-        "tail_log_values": list(rep.tail_log_values),
-        "note": rep.note,
-    }
+def _doubling_record(terms: DoublingTerms, args, p: float) -> dict:
+    budget = args.p0_budget if args.p0_budget is not None else p
+    res = terms.result(p, budget, args.c)
+    names = ("inner_term_log", "middle_bound_log", "outer_bound_log", "dominance_ok")
+    return _record(res, *names, "d0", "b0", c=args.c, p0_budget=budget)
+
+
+CONSTRUCTIONS = {
+    "lemma": Construction(
+        ("family",),
+        lambda args, d: WitnessTerms.prepare(
+            _build_density(args, d), args.v, args.R, args.tol
+        ),
+        lambda terms, args, p: terms.certificate(p).to_record(),
+    ),
+    "decp": Construction(
+        ("family",),
+        lambda args, d: DecpTerms.prepare(
+            _build_density(args, d), args.epsilon, args.tol
+        ),
+        lambda terms, args, p: _record(
+            terms.result(p), "epsilon", "r1", "degenerate_rate", "hypothesis"
+        ),
+    ),
+    "decp-generalized": Construction(
+        ("family", "t0", "t1"),
+        lambda args, d: GeneralizedDecpTerms.prepare(
+            _build_density(args, d), args.t0, args.t1, args.epsilon, args.tol
+        ),
+        lambda terms, args, p: _record(
+            terms.result(p), "p0", "b", "beta_log", "degenerate_rate", "hypothesis"
+        ),
+    ),
+    "doubling": Construction(
+        ("t", "c"),
+        lambda args, d: DoublingTerms.prepare(args.t, d, args.tol),
+        _doubling_record,
+    ),
+    "lebesgue-ball": Construction(
+        (),
+        lambda args, d: LebesgueBallTerms.prepare(d, args.tol),
+        lambda terms, args, p: _record(terms.result(p)),
+        family="restricted-lebesgue",
+    ),
+}
+
+
+def _construction(args) -> Construction:
+    entry = CONSTRUCTIONS[args.construction]
+    if any(getattr(args, flag) is None for flag in entry.required):
+        flags = " and ".join("--" + flag for flag in entry.required)
+        raise UsageError(f"{args.construction} needs {flags}")
+    return entry
 
 
 def cmd_certify(args) -> int:
-    rec = _certify_record(args)
+    entry = _construction(args)
+    rec = entry.record(entry.prepare(args, args.d), args, args.p)
     _emit([rec], args.format, args.output)
     return 0
-
-
-# -- scan ----------------------------------------------------------------------
-
-
-def _scan_cell(args, d: int, p: float) -> ScanRow:
-    family = args.family or (
-        "restricted-lebesgue" if args.construction == "lebesgue-ball" else None
-    )
-    params = ""
-    if args.t is not None:
-        params = f"t={args.t!r}"
-    if args.segments:
-        params = f"segments={args.segments}"
-    try:
-        if args.construction == "lebesgue-ball":
-            low = lebesgue_ball_certificate(d, p, rel_tol=args.tol).certificate.log_lower_bound
-        elif args.construction == "doubling":
-            budget = args.p0_budget if args.p0_budget is not None else p
-            low = doubling_certificate(
-                args.t, d, p, budget, args.c, rel_tol=args.tol
-            ).certificate.log_lower_bound
-        elif args.construction == "decp":
-            density = _build_density(args, d)
-            low = decp_certificate(
-                density, p, epsilon=args.epsilon, rel_tol=args.tol
-            ).certificate.log_lower_bound
-        else:
-            density = _build_density(args, d)
-            low = lemma_certificate(
-                density, p, args.v, args.R, rel_tol=args.tol
-            ).log_lower_bound
-        return ScanRow(
-            family=family or "",
-            params=params,
-            d=d,
-            p=p,
-            log_lower_bound=low,
-            per_dim_rate=low / d,
-            upper_log=besicovitch_upper(d, p),
-        )
-    except Exception as exc:  # recorded per-row; scan carries on
-        return ScanRow(
-            family=family or "",
-            params=params,
-            d=d,
-            p=p,
-            log_lower_bound=math.nan,
-            per_dim_rate=math.nan,
-            upper_log=besicovitch_upper(d, p),
-            error=f"{type(exc).__name__}: {exc}",
-        )
 
 
 def cmd_scan(args) -> int:
@@ -277,11 +207,32 @@ def cmd_scan(args) -> int:
         raise UsageError("empty d-range or p-list")
     if any(d < 1 for d in ds) or any(p < 1 for p in ps):
         raise UsageError("need every d >= 1 and every p >= 1")
-    cells = [(d, p) for d in ds for p in ps]
-    jobs = args.jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(lambda dp: _scan_cell(args, *dp), cells))
-    rows.sort(key=lambda r: (r.family, r.d, r.p))
+    entry = _construction(args)
+    family = args.family or entry.family
+    params = ""
+    if args.t is not None:
+        params = f"t={args.t!r}"
+    if args.segments:
+        params = f"segments={args.segments}"
+
+    def row(terms, error: str, d: int, p: float) -> ScanRow:
+        upper = besicovitch_upper(d, p)
+        if not error:
+            try:
+                low = entry.record(terms, args, p)["log_lower_bound"]
+                return ScanRow(family, params, d, p, low, low / d, upper)
+            except Exception as exc:  # recorded per row; scan carries on
+                error = f"{type(exc).__name__}: {exc}"
+        return ScanRow(family, params, d, p, math.nan, math.nan, upper, error)
+
+    rows = []
+    for d in ds:
+        try:  # a failure here is p-independent: every row of this d carries it
+            terms, error = entry.prepare(args, d), ""
+        except Exception as exc:
+            terms, error = None, f"{type(exc).__name__}: {exc}"
+        rows.extend(row(terms, error, d, p) for p in ps)
+    rows.sort(key=lambda r: (r.d, r.p))
     records = [
         {
             "family": r.family,
@@ -387,6 +338,17 @@ def _add_density_flags(sp) -> None:
     )
 
 
+def _add_construction_flags(sp) -> None:
+    sp.add_argument("--construction", choices=tuple(CONSTRUCTIONS), default="lemma")
+    sp.add_argument("--v", type=float, default=0.5)
+    sp.add_argument("--R", type=float, default=1.0)
+    sp.add_argument("--epsilon", type=float, default=0.01)
+    sp.add_argument("--t0", type=float, default=None)
+    sp.add_argument("--t1", type=float, default=None)
+    sp.add_argument("--c", type=float, default=None)
+    sp.add_argument("--p0-budget", dest="p0_budget", type=float, default=None)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hlmax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -395,14 +357,7 @@ def build_parser() -> _Parser:
     _add_density_flags(sp)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--construction", choices=CONSTRUCTIONS, default="lemma")
-    sp.add_argument("--v", type=float, default=0.5)
-    sp.add_argument("--R", type=float, default=1.0)
-    sp.add_argument("--epsilon", type=float, default=0.01)
-    sp.add_argument("--t0", type=float, default=None)
-    sp.add_argument("--t1", type=float, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--p0-budget", dest="p0_budget", type=float, default=None)
+    _add_construction_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_certify)
 
@@ -410,13 +365,8 @@ def build_parser() -> _Parser:
     _add_density_flags(sp)
     sp.add_argument("--d-range", dest="d_range", required=True, help="start:stop:step")
     sp.add_argument("--p-list", dest="p_list", required=True, help="comma-separated")
-    sp.add_argument("--construction", choices=CONSTRUCTIONS, default="lemma")
-    sp.add_argument("--v", type=float, default=0.5)
-    sp.add_argument("--R", type=float, default=1.0)
-    sp.add_argument("--epsilon", type=float, default=0.01)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--p0-budget", dest="p0_budget", type=float, default=None)
-    sp.add_argument("--jobs", type=int, default=None)
+    _add_construction_flags(sp)
+    sp.add_argument("--jobs", type=int, help="ignored: cells run in order")
     _add_common(sp)
     sp.set_defaults(func=cmd_scan)
 
@@ -480,6 +430,9 @@ def main(argv=None) -> int:
     except HypothesisViolationError as exc:
         print(f"hypothesis violation ({exc.failed}): {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,11 @@ class EmptyTestFunctionError(DomainError):
     """Certificate test function has zero mass."""
 
 
-class QuadraturePrecisionError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical kernel could not reach its accuracy target."""
+
+
+class QuadraturePrecisionError(NumericalError):
     """Adaptive quadrature exhausted its subdivision budget before reaching
     the requested tolerance."""
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _si
 
+from .certificate import golden_section_max
 from .errors import DomainError
 from .logspace import LN2, NEG_INF, LogValue
 from .radial import RadialDensity, _offcenter_logs, log_ball_at_origin, log_ball_offcenter
@@ -68,27 +69,18 @@ def maximal_at_point(
     i = int(np.argmax(ratios))
     best = float(ratios[i])
 
-    def ratio_at(r: float) -> float:
-        vals, _ = _ratio_logs(density, v * R, eval_radius, np.array([r]), rel_tol)
+    def ratio_at(x: float) -> float:  # at the ball radius e^x
+        vals, _ = _ratio_logs(density, v * R, eval_radius, [math.exp(x)], rel_tol)
         return float(vals[0])
 
     if refine > 0:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a = math.log(rs[max(i - 1, 0)])
-        b = math.log(rs[min(i + 1, len(rs) - 1)])
-        c = b - invphi * (b - a)
-        dd = a + invphi * (b - a)
-        fc, fd = ratio_at(math.exp(c)), ratio_at(math.exp(dd))
-        for _ in range(refine):
-            if fc > fd:
-                b, dd, fd = dd, c, fc
-                c = b - invphi * (b - a)
-                fc = ratio_at(math.exp(c))
-            else:
-                a, c, fc = c, dd, fd
-                dd = a + invphi * (b - a)
-                fd = ratio_at(math.exp(dd))
-        best = max(best, fc, fd)
+        _, f_best = golden_section_max(
+            ratio_at,
+            math.log(rs[max(i - 1, 0)]),
+            math.log(rs[min(i + 1, len(rs) - 1)]),
+            refine,
+        )
+        best = max(best, f_best)
     return LogValue(best)
 
 

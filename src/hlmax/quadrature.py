@@ -166,39 +166,3 @@ def log_integrate_batch(
         f"quadrature did not converge within {_MAX_ROUNDS} refinement rounds"
     )
 
-
-def log_integrate(
-    logf,
-    a: float,
-    b: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_panels: int = MAX_PANELS,
-    initial_panels: int = 8,
-    breakpoints=(),
-) -> float:
-    """Log of a single integral of exp(logf) over [a, b].
-
-    ``breakpoints`` inside (a, b) seed panel edges so kinks of the integrand
-    never sit mid-panel.
-    """
-    if not b > a:
-        return -math.inf
-    edges = [a] + sorted(x for x in breakpoints if a < x < b) + [b]
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        step = (hi - lo) / initial_panels
-        panels.extend((lo + i * step, lo + (i + 1) * step) for i in range(initial_panels))
-
-    def wrapped(x, tags):
-        return logf(x)
-
-    result = log_integrate_batch(
-        wrapped,
-        panels,
-        np.zeros(len(panels), dtype=np.int64),
-        np.zeros(len(panels), dtype=np.int64),
-        1,
-        rel_tol=rel_tol,
-        max_panels=max_panels,
-    )
-    return float(result[0])

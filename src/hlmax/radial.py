@@ -137,10 +137,6 @@ class RadialDensity:
             return self.segments[0].exponent
         return 0.0
 
-    @property
-    def has_closed_form(self) -> bool:
-        return self.family in (LEBESGUE, RESTRICTED_LEBESGUE, POWER, TRUNCATED_POWER)
-
     # -- evaluation --------------------------------------------------------
 
     def log_f(self, r) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .logspace import LogValue
 
 LN_HALF = math.log(0.5)
@@ -135,7 +135,7 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
         h = h * delta
         if np.all(np.abs(delta - 1.0) < _BETACF_EPS):
             return h
-    raise RuntimeError(
+    raise NumericalError(
         f"incomplete beta continued fraction failed to converge (a={a}, b={b})"
     )
 

@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+import hlmax.certificate as certificate
 from hlmax.certificate import (
     T1_MAX,
     U_SPLIT,
     ScanRow,
+    WitnessTerms,
     besicovitch_upper,
     conjugate_exponent,
     critical_p,
@@ -16,6 +18,7 @@ from hlmax.certificate import (
     decp_explicit_constant,
     decp_generalized_certificate,
     doubling_certificate,
+    golden_section_max,
     lebesgue_ball_certificate,
     lemma_certificate,
     optimize_v,
@@ -305,6 +308,45 @@ class TestOptimizeV:
     def test_needs_p_above_one(self):
         with pytest.raises(DomainError):
             optimize_v(RadialDensity.restricted_lebesgue(5), 1.0, 1.0)
+
+
+class TestPreparedTerms:
+    def test_witness_rejects_p_below_one(self):
+        terms = WitnessTerms.prepare(RadialDensity.lebesgue(3), 0.5, 1.0)
+        with pytest.raises(DomainError):
+            terms.certificate(0.9)
+
+    def test_bisection_stops_at_its_fixed_point(self, monkeypatch):
+        # running all 90 bisection steps costs 219 h_u evaluations per certificate
+        calls = [0]
+        growth_h = certificate.growth_h
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return growth_h(*args, **kwargs)
+
+        monkeypatch.setattr(certificate, "growth_h", counted)
+        res = decp_certificate(RadialDensity.restricted_lebesgue(60), 1.0)
+        assert calls[0] < 219
+        assert res.r1 == 1.194397343722166  # bit-identical to the 90-step value
+
+
+class TestGoldenSection:
+    def test_parabola_maximum(self):
+        x, fx = golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 80)
+        assert x == pytest.approx(0.3, abs=1e-8)
+        assert fx == pytest.approx(0.0, abs=1e-15)
+
+    def test_tolerance_stops_early(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -abs(x - 0.7)
+
+        x, _ = golden_section_max(f, 0.0, 1.0, 200, tol=1e-3)
+        assert abs(x - 0.7) < 1e-3
+        assert len(calls) < 30
 
 
 class TestUniversal:

@@ -5,8 +5,11 @@ import math
 
 import pytest
 
+import hlmax.certificate as certificate
+import hlmax.cli as cli
 from hlmax.certificate import critical_p, decp_explicit_constant
 from hlmax.cli import main
+from hlmax.errors import NumericalError, QuadraturePrecisionError
 
 
 def run_cli(capsys, *args):
@@ -152,6 +155,117 @@ class TestScan:
         recs = [json.loads(line) for line in out.strip().splitlines()]
         assert recs[0]["error"] != ""
         assert recs[1]["error"] == ""
+
+
+class TestScanConstructions:
+    GENERALIZED = (
+        "--construction", "decp-generalized", "--family", "power", "--t", "0.88",
+        "--t0", "0.08", "--t1", "0.15",
+    )
+
+    def test_decp_generalized_rows_match_certify(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", *self.GENERALIZED, "--d-range", "20:25:5", "--p-list", "1,1.01"
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert [(r["d"], r["p"]) for r in rows] == [(20, 1.0), (20, 1.01), (25, 1.0), (25, 1.01)]
+        for row in rows:
+            assert row["error"] == ""
+            _, cert_out, _ = run_cli(
+                capsys, "certify", *self.GENERALIZED,
+                "--d", str(row["d"]), "--p", repr(row["p"]),
+            )
+            assert row["log_lower"] == json.loads(cert_out)["log_lower_bound"]
+
+    def test_decp_generalized_needs_t0(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scan", "--construction", "decp-generalized", "--family", "power",
+            "--t", "0.88", "--t1", "0.15", "--d-range", "20:25:5", "--p-list", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "--t0" in err
+
+    def test_missing_required_flag_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scan", "--construction", "doubling", "--t", "0.99",
+            "--d-range", "50:100:50", "--p-list", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "--c" in err
+
+    def test_p_independent_work_runs_once_per_d(self, capsys, monkeypatch):
+        calls = {"search": 0, "offcenter": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            certificate, "_check_hypothesis_and_pick_r1",
+            counted("search", certificate._check_hypothesis_and_pick_r1),
+        )
+        monkeypatch.setattr(
+            certificate, "log_ball_offcenter",
+            counted("offcenter", certificate.log_ball_offcenter),
+        )
+        code, out, _ = run_cli(
+            capsys, "scan", "--construction", "decp", "--family", "restricted-lebesgue",
+            "--d-range", "60:80:20", "--p-list", "1,1.01,1.02",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 6
+        assert calls == {"search": 2, "offcenter": 2}
+
+    def test_prepare_failure_fills_every_p_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--construction", "decp", "--family", "lebesgue",
+            "--d-range", "10:20:10", "--p-list", "1,1.01",
+        )
+        assert code == 1
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(rows) == 4
+        for d in (10, 20):
+            errors = {r["error"] for r in rows if r["d"] == d}
+            assert len(errors) == 1
+            assert errors.pop().startswith("HypothesisViolationError: ")
+
+    def test_per_p_failure_stays_in_its_row(self, capsys):
+        # c = 1.3 < 2^(1/p) holds at p = 2 but not at p = 3
+        code, out, _ = run_cli(
+            capsys, "scan", "--construction", "doubling", "--t", "0.99", "--c", "1.3",
+            "--d-range", "50:50:1", "--p-list", "2,3",
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"].startswith("DomainError: c must lie in")
+
+
+class TestNumericalFailure:
+    def test_kernel_errors_are_numerical(self):
+        assert issubclass(QuadraturePrecisionError, NumericalError)
+        assert issubclass(NumericalError, RuntimeError)
+
+    def test_exit_four_without_traceback(self, capsys, monkeypatch):
+        def fail(args, d):
+            raise NumericalError("kernel did not converge")
+
+        entry = cli.CONSTRUCTIONS["lebesgue-ball"]
+        monkeypatch.setitem(
+            cli.CONSTRUCTIONS, "lebesgue-ball", cli.Construction((), fail, entry.record)
+        )
+        code, out, err = run_cli(
+            capsys, "certify", "--construction", "lebesgue-ball", "--d", "50", "--p", "1"
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "numerical error: kernel did not converge\n"
 
 
 class TestOracle:

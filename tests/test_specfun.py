@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from hlmax.errors import DomainError
+import hlmax.specfun as specfun
+from hlmax.errors import DomainError, NumericalError
 from hlmax.specfun import (
     CapSpec,
     cap_area_bounds,
@@ -144,6 +145,12 @@ class TestCapExact:
             CapSpec(3, 0.5, 0.5)
         with pytest.raises(DomainError):
             CapSpec(3, 1.0, 0.0)
+
+
+def test_betacf_non_convergence_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(specfun, "_BETACF_MAX_ITER", 2)
+    with pytest.raises(NumericalError):
+        specfun._betacf(2000.0, 0.5, np.array([0.99]))
 
 
 class TestCapBounds:
