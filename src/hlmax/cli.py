@@ -6,9 +6,12 @@ its accuracy target). Identical invocations (including seeds) produce
 byte-identical output; all bounds are printed both as natural logs and as
 per-dimension rates.
 
-certify and scan share one construction table and its flags; scan prepares
-the p-independent terms once per d, then assembles each p (``--jobs`` is
-accepted and ignored).
+A density flag its family does not take is an error. certify and scan
+share one construction table and its flags, ``--tol`` included; scan
+prepares the p-independent terms once per d, then assembles each p
+(``--jobs`` is accepted and ignored). Scan rows name their construction and
+the family it certified (doubling: power; lebesgue-ball:
+restricted-lebesgue; whatever ``--family`` says).
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from .certificate import (
 )
 from .errors import DomainError, HypothesisViolationError, NumericalError
 from .oracle import run_oracle
-from .radial import RadialDensity, density_from_mapping, parse_kv
+from .radial import RadialDensity, parse_kv, parse_segments
 from .specfun import CapSpec, cap_area_bounds, cap_area_exact
 
 OUTPUT_DIR_ENV = "HLMAX_OUTPUT_DIR"
@@ -68,12 +71,8 @@ def _range_spec(text: str) -> list[float]:
 def _build_density(args, d: int) -> RadialDensity:
     if not args.family:
         raise UsageError("--family is required")
-    kv = {"family": args.family, "d": str(d)}
-    if getattr(args, "t", None) is not None:
-        kv["t"] = repr(args.t)
-    if getattr(args, "segments", None):
-        kv["segments"] = args.segments
-    return density_from_mapping(kv)
+    segments = None if args.segments is None else parse_segments(args.segments)
+    return RadialDensity(args.family, d, t=args.t, segments=segments)
 
 
 def _emit(records: list[dict], fmt: str, output: str | None) -> None:
@@ -117,7 +116,7 @@ class Construction:
     required: tuple[str, ...]  # flags without a default that it needs
     prepare: Callable  # (args, d) -> the p-independent terms for one d
     record: Callable  # (terms, args, p) -> the certify record at p
-    family: str = ""  # scan's family column when --family is not given
+    family: str = ""  # the family it always certifies, whatever --family says
 
 
 def _record(res, *names: str, **extra) -> dict:
@@ -175,6 +174,7 @@ CONSTRUCTIONS = {
         ("t", "c"),
         lambda args, d: DoublingTerms.prepare(args.t, d, args.tol),
         _doubling_record,
+        family="power",
     ),
     "lebesgue-ball": Construction(
         (),
@@ -208,7 +208,7 @@ def cmd_scan(args) -> int:
     if any(d < 1 for d in ds) or any(p < 1 for p in ps):
         raise UsageError("need every d >= 1 and every p >= 1")
     entry = _construction(args)
-    family = args.family or entry.family
+    family = entry.family or args.family.replace("_", "-")
     params = ""
     if args.t is not None:
         params = f"t={args.t!r}"
@@ -235,6 +235,7 @@ def cmd_scan(args) -> int:
     rows.sort(key=lambda r: (r.d, r.p))
     records = [
         {
+            "construction": args.construction,
             "family": r.family,
             "params": r.params,
             "d": r.d,
@@ -322,7 +323,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--output", default=None, help="output path (stdout if omitted)")
     sp.add_argument("--config", default=None, help="key=value defaults file")
-    sp.add_argument("--tol", type=float, default=None, help="quadrature rel. tolerance")
 
 
 def _add_density_flags(sp) -> None:
@@ -347,6 +347,7 @@ def _add_construction_flags(sp) -> None:
     sp.add_argument("--t1", type=float, default=None)
     sp.add_argument("--c", type=float, default=None)
     sp.add_argument("--p0-budget", dest="p0_budget", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=None, help="quadrature rel. tolerance in (0, 1)")
 
 
 def build_parser() -> _Parser:
@@ -401,8 +402,9 @@ def _inject_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    path = argv[idx + 1]
-    with open(path) as fh:
+    if idx + 1 == len(argv):
+        raise UsageError("--config needs a file path")
+    with open(argv[idx + 1]) as fh:
         cfg = parse_kv(fh.read())
     injected = []
     for key, value in cfg.items():
@@ -423,6 +425,8 @@ def main(argv=None) -> int:
             raise UsageError(f"d must be a positive integer, got {args.d}")
         if getattr(args, "p", None) is not None and args.p < 1:
             raise UsageError(f"p must be >= 1, got {args.p}")
+        if getattr(args, "tol", None) is not None and not 0.0 < args.tol < 1.0:
+            raise UsageError(f"--tol must lie in (0, 1), got {args.tol}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

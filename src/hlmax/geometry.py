@@ -14,7 +14,7 @@ from .errors import DegenerateCapError, DomainError
 
 @dataclass(frozen=True)
 class ConeCapParams:
-    """Cap parameters (s, t) = (cos r, sin r) on a sphere of given radius.
+    """Cap parameters (s, t) = (cos r, sin r) of a cap of angular radius r.
 
     ``cone`` marks parameter pairs describing a subtending cone, where t is
     the radius of the smallest enclosing ball of the cap rather than sin r,
@@ -23,7 +23,6 @@ class ConeCapParams:
 
     s: float
     t: float
-    sphere_radius: float
     cone: bool = False
 
     def __post_init__(self):
@@ -62,7 +61,7 @@ def sphere_ball_cap(rho: float, R0: float, H: float) -> ConeCapParams:
         )
     s = (rho * rho + R0 * R0 - H * H) / (2.0 * rho * R0)
     t = math.sqrt(max((1.0 - s) * (1.0 + s), 0.0))
-    return ConeCapParams(s, t, rho)
+    return ConeCapParams(s, t)
 
 
 def doubling_cap_x2(c: float) -> float:
@@ -83,4 +82,4 @@ def cap_containment_params(c: float) -> ConeCapParams:
     if not (1.0 < c <= 2.0):
         raise DomainError(f"c must lie in (1, 2], got {c}")
     s = (c * c - 1.0) / (4.0 * c)
-    return ConeCapParams(s, doubling_cap_x2(c), 1.0, cone=True)
+    return ConeCapParams(s, doubling_cap_x2(c), cone=True)

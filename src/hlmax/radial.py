@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UndefinedGrowthError
-from .logspace import NEG_INF, LogValue, log_add, log_sum
+from .logspace import NEG_INF, LogValue, log_add
 from .quadrature import DEFAULT_REL_TOL, log_integrate_batch
 from .specfun import _log_sphere_area, log_cap_fraction
 
@@ -61,8 +61,14 @@ class RadialDensity:
     segments: tuple[Segment, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown density family {self.family!r}")
+        # the key-value format and the CLI spell families with hyphens
+        family = self.family.replace("-", "_")
+        if family not in FAMILIES:
+            raise DomainError(
+                f"unknown family {self.family!r}; choose from "
+                + ", ".join(f.replace("_", "-") for f in FAMILIES)
+            )
+        object.__setattr__(self, "family", family)
         if self.dim < 1 or int(self.dim) != self.dim:
             raise DomainError(f"dimension must be a positive integer, got {self.dim}")
         if self.family in (POWER, TRUNCATED_POWER):
@@ -244,18 +250,13 @@ def parse_segments(value: str) -> tuple[Segment, ...]:
 
 
 def density_from_mapping(kv: dict[str, str]) -> RadialDensity:
-    family = kv.get("family", "").replace("-", "_")
-    if family not in FAMILIES:
-        raise DomainError(
-            f"unknown family {kv.get('family')!r}; choose from "
-            + ", ".join(f.replace("_", "-") for f in FAMILIES)
-        )
-    dim = int(kv["d"])
-    if family in (POWER, TRUNCATED_POWER):
-        return RadialDensity(family, dim, t=float(kv["t"]))
-    if family == PIECEWISE:
-        return RadialDensity(family, dim, segments=parse_segments(kv["segments"]))
-    return RadialDensity(family, dim)
+    t, segments = kv.get("t"), kv.get("segments")
+    return RadialDensity(
+        kv.get("family", ""),
+        int(kv["d"]),
+        t=None if t is None else float(t),
+        segments=None if segments is None else parse_segments(segments),
+    )
 
 
 def density_from_kv(text: str) -> RadialDensity:
@@ -363,36 +364,6 @@ def growth_h(
             f"mu(B(0, {u * R})) = 0: growth ratio is undefined"
         )
     return num / den
-
-
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Growth-ratio samples for one u, validated against the u^(-d) ceiling."""
-
-    u: float
-    dim: int
-    samples: tuple[tuple[float, LogValue], ...]
-
-    def __post_init__(self):
-        if not (0.0 < self.u < 1.0):
-            raise DomainError(f"u must lie in (0, 1), got {self.u}")
-        ceiling = -self.dim * math.log(self.u)
-        for radius, h in self.samples:
-            val = h.log_magnitude
-            if val < -1e-9 or val > ceiling + 1e-9:
-                raise DomainError(
-                    f"growth sample h({radius}) = exp({val}) breaks the "
-                    f"[1, u^-d] envelope"
-                )
-
-
-def growth_profile(
-    density: RadialDensity, u: float, radii, rel_tol: float = None
-) -> GrowthProfile:
-    samples = tuple(
-        (float(R), growth_h(density, u, float(R), rel_tol)) for R in radii
-    )
-    return GrowthProfile(u, density.dim, samples)
 
 
 def _offcenter_logs(

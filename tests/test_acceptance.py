@@ -114,7 +114,6 @@ def test_criterion_05_main_theorem_rate():
 
 def test_criterion_06_restricted_lebesgue_floor():
     p_star = critical_p("lebesgue_ball")
-    denom_cache = {}
     worst_gap = math.inf
     for d in range(2, 301):
         for p in (1.0, 1.05, p_star):

@@ -235,6 +235,27 @@ class TestScanConstructions:
             assert len(errors) == 1
             assert errors.pop().startswith("HypothesisViolationError: ")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--construction", "doubling", "--family", "lebesgue", "--t", "0.99",
+             "--c", "1.2", "--d-range", "50:50:1", "--p-list", "2"),
+            ("--construction", "lebesgue-ball", "--family", "power",
+             "--d-range", "5:10:5", "--p-list", "1,1.05"),
+        ],
+    )
+    def test_rows_label_what_certify_certified(self, capsys, flags):
+        code, out, _ = run_cli(capsys, "scan", *flags)
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        for row in rows:
+            assert row["error"] == ""
+            assert row["construction"] == flags[1]
+            _, cert_out, _ = run_cli(
+                capsys, "certify", *flags[:-4], "--d", str(row["d"]), "--p", repr(row["p"])
+            )
+            assert row["family"] == json.loads(cert_out)["family"]
+
     def test_per_p_failure_stays_in_its_row(self, capsys):
         # c = 1.3 < 2^(1/p) holds at p = 2 but not at p = 3
         code, out, _ = run_cli(
@@ -344,6 +365,27 @@ class TestCaps:
     def test_bad_s_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "caps", "--d", "10", "--s", "1.2")
         assert code == 1
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("certify --family lebesgue --t 0.5 --d 3 --p 1", "takes no exponent"),
+            ("certify --family lebesgue --segments 1:1 --d 3 --p 1", "takes no segments"),
+            ("certify --family power --d 10 --p 1", "got t=None"),
+            ("certify --family piecewise --d 10 --p 1", "needs at least one segment"),
+            ("oracle --family power --d 3", "got t=None"),
+            ("certify --family log-singularity --d 5 --p 1 --tol 0", "usage error: --tol"),
+            ("caps --d 10 --s 0.5 --tol 0.1", "usage error: unrecognized"),
+            ("certify --construction lebesgue-ball --d 5 --p 1 --config", "usage error: --config"),
+        ],
+    )
+    def test_exits_one_with_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
 
 
 class TestConfigAndOutput:

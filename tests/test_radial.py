@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlmax.errors import DomainError, QuadraturePrecisionError
-from hlmax.logspace import LogValue
 from hlmax.radial import (
-    GrowthProfile,
     RadialDensity,
     _log_radial_mass,
     _offcenter_logs,
     density_from_kv,
     growth_h,
-    growth_profile,
     intersect_origin_ball,
     log_ball_at_origin,
     log_ball_offcenter,
@@ -161,13 +158,6 @@ class TestGrowth:
         }[fam]()
         h = growth_h(dens, u, 10.0 ** log_r).log_magnitude
         assert -1e-9 <= h <= -d * math.log(u) + 1e-9
-
-    def test_growth_profile_validates(self):
-        dens = RadialDensity.power(6, 0.5)
-        prof = growth_profile(dens, 0.5, [0.1, 1.0, 10.0])
-        assert len(prof.samples) == 3
-        with pytest.raises(DomainError):
-            GrowthProfile(0.5, 6, ((1.0, LogValue(100.0)),))
 
 
 class TestOffCenter:
