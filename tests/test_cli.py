@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hlmax
 import hlmax.certificate as certificate
 import hlmax.cli as cli
 from hlmax.certificate import critical_p, decp_explicit_constant
@@ -16,6 +20,15 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate costs about 0.65 s of start-up; only the oracle's
+    # QUADPACK functions need it, and they import it themselves
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hlmax.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hlmax.cli; sys.exit(int('scipy.integrate' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestCriticalP:
@@ -287,6 +300,24 @@ class TestNumericalFailure:
         assert code == 4
         assert out == ""
         assert err == "numerical error: kernel did not converge\n"
+
+
+class TestHighDimension:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--construction", "lebesgue-ball", "--p", "1"),
+            ("--construction", "lemma", "--family", "log-singularity", "--p", "1.1"),
+        ],
+        ids=["lebesgue-ball", "lemma-log-singularity"],
+    )
+    def test_certify_at_d_10000(self, capsys, flags):
+        code, out, err = run_cli(capsys, "certify", "--d", "10000", *flags)
+        assert code == 0
+        assert err == ""
+        rec = json.loads(out)
+        assert rec["d"] == 10000
+        assert math.isfinite(rec["log_lower_bound"])
 
 
 class TestOracle:

@@ -43,6 +43,7 @@ CLI_CASES = (
     "caps --d 500 --s-grid 0.05:0.95:0.3",
     "critical-p",
     "oracle --family lebesgue --d 3 --samples 2",
+    "certify --construction lebesgue-ball --d 10000 --p 1",
 )
 
 PY_CASES = {

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,108 @@ def test_betacf_non_convergence_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(specfun, "_BETACF_MAX_ITER", 2)
     with pytest.raises(NumericalError):
         specfun._betacf(2000.0, 0.5, np.array([0.99]))
+
+
+def test_betacf_one_slow_lane_raises():
+    # at a = b = 1e8 the fraction needs about 10^4 iterations at its switch
+    # point x = 1/2, far beyond _BETACF_MAX_ITER; x = 0.1 and 0.3 converge fast
+    specfun._betacf(1e8, 1e8, np.array([0.1, 0.3]))
+    with pytest.raises(NumericalError):
+        specfun._betacf(1e8, 1e8, np.array([0.1, 0.5, 0.3]))
+
+
+def _mp_log_cap_fraction(d: int, s: float) -> mpmath.mpf:
+    """ln of the normalized cap area at 30 digits.
+
+    I_x(a, 1/2) = x^a 2F1(a, 1/2; a+1; x) / (a B(a, 1/2)) with x = 1 - s^2,
+    and 2F1(a, 1/2; a+1; x) = int_0^inf e^-u (y - x expm1(-u/a))^(-1/2) du
+    with y = s^2, which has no cancellation near x = 1. mpmath.betainc and
+    hyp2f1 stop converging there at d = 10^5.
+    """
+    with mpmath.workdps(30):
+        a = mpmath.mpf(d - 1) / 2
+        half = mpmath.mpf(1) / 2
+        y = mpmath.mpf(s) ** 2
+        x = 1 - y
+        f = mpmath.quad(
+            lambda u: mpmath.exp(-u) / mpmath.sqrt(y - x * mpmath.expm1(-u / a)),
+            [0, 1, 10, mpmath.inf],
+        )
+        log_i = a * mpmath.log(x) + mpmath.log(f) - mpmath.log(a)
+        log_i -= mpmath.log(mpmath.beta(a, half))
+        if s >= 0:
+            return mpmath.log(half) + log_i
+        return mpmath.log1p(-half * mpmath.exp(log_i))
+
+
+@functools.lru_cache(maxsize=None)
+def _high_d_reference(d: int) -> tuple[np.ndarray, np.ndarray]:
+    # the whole range, plus the band |s| < 8/sqrt(d) around the continued
+    # fraction's switch point, where the cap fraction changes fastest
+    band = 8.0 / math.sqrt(d)
+    s = np.unique(np.concatenate([np.linspace(-0.999, 0.999, 41), np.linspace(-band, band, 21)]))
+    ref = np.array([float(_mp_log_cap_fraction(d, float(v))) for v in s])
+    return s, ref
+
+
+def _assert_log_close(got: np.ndarray, ref: np.ndarray) -> None:
+    """Relative 2e-13, widened by 2 eps |ln|ref|| for values far below 1.
+
+    For s < 0 the result ln(1 - I/2) is about -I/2, whose relative error is
+    the absolute error of ln I: at least the rounding of ln I itself, eps
+    |ln I| (1.6e-13 near the underflow limit |ln I| = 708). For s >= 0 the
+    widening stays below 6e-15.
+    """
+    eps = np.finfo(float).eps
+    mag = np.abs(ref)
+    log_mag = np.abs(np.log(mag, out=np.zeros_like(mag), where=mag > 0.0))
+    tol = (2e-13 + 2.0 * eps * log_mag) * mag + np.finfo(float).tiny
+    bad = np.abs(got - ref) > tol
+    assert not bad.any(), list(zip(got[bad], ref[bad]))
+
+
+class TestCapFractionHighD:
+    # d = 513 is the smallest d on the large-a path (a = 256)
+    DIMS = (513, 5000, 10_000, 100_000)
+
+    def test_reference_matches_hyp2f1(self):
+        with mpmath.workdps(30):
+            for s in (0.01, 0.3):
+                a = mpmath.mpf(4999) / 2
+                x = 1 - mpmath.mpf(s) ** 2
+                f = mpmath.hyp2f1(a, 0.5, a + 1, x)
+                log_i = a * mpmath.log(x) + mpmath.log(f) - mpmath.log(a)
+                log_i -= mpmath.log(mpmath.beta(a, 0.5))
+                assert float(_mp_log_cap_fraction(5000, s)) == pytest.approx(
+                    float(mpmath.log(0.5) + log_i), rel=1e-15
+                )
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_vector_against_mpmath(self, d):
+        s, ref = _high_d_reference(d)
+        _assert_log_close(log_cap_fraction(d, s), ref)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_scalar_against_mpmath(self, d):
+        s, ref = _high_d_reference(d)
+        got = np.array([log_cap_fraction(d, float(v))[0] for v in s])
+        _assert_log_close(got, ref)
+
+    @pytest.mark.parametrize("d", (3, 100, 1000, 5000, 10_000, 100_000))
+    def test_batch_independent(self, d):
+        rng = np.random.default_rng(d)
+        s = np.concatenate(
+            [rng.uniform(-1.0, 1.0, 200), rng.normal(0.0, 3.0 / math.sqrt(d), 56)]
+        )
+        vector = log_cap_fraction(d, s)
+        single = np.array([log_cap_fraction(d, float(v))[0] for v in s])
+        assert np.array_equal(vector.view(np.uint64), single.view(np.uint64))
+
+    def test_log_beta_half_at_large_a(self):
+        with mpmath.workdps(50):
+            for a in (256.0, 499.5, 4999.5, 49999.5):
+                ref = mpmath.log(mpmath.beta(a, 0.5))
+                assert specfun._log_beta(a, 0.5) == pytest.approx(float(ref), rel=4e-16)
 
 
 class TestCapBounds:
