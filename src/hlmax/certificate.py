@@ -276,30 +276,55 @@ def _log_h(density: RadialDensity, u: float, R: float, rel_tol) -> float:
     return growth_h(density, u, R, rel_tol).log_magnitude
 
 
-def golden_section_max(f, a: float, b: float, iters: int, tol: float = 0.0):
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, a, b, iters, tol: float = 0.0):
     """Golden-section search for a maximum of f on [a, b].
 
     Stops after ``iters`` steps or once the bracket is narrower than
     ``tol``; returns (x, f(x)) for the better of the two final probes. A
     log-spaced search passes the transformed variable, e.g.
     ``lambda x: g(math.exp(x))`` over [log lo, log hi].
+
+    With sequences ``a`` and ``b`` the brackets are searched in lockstep,
+    each for its own number of steps when ``iters`` is a sequence too. Then
+    ``f(x, lanes)`` gets a list with one probe for each bracket still
+    searching and the list of their indices, and returns their values, so
+    one call serves a whole step; x and f(x) come back as arrays.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < tol:
+    if np.ndim(a) == 0:
+        x, fx = golden_section_max(lambda x, lanes: [f(x[0])], [a], [b], [iters], tol)
+        return float(x[0]), float(fx[0])
+    a = [float(t) for t in a]
+    b = [float(t) for t in b]
+    iters = [int(k) for k in iters] if np.ndim(iters) else [iters] * len(a)
+    lanes = list(range(len(a)))
+    c = [b[i] - _INVPHI * (b[i] - a[i]) for i in lanes]
+    d = [a[i] + _INVPHI * (b[i] - a[i]) for i in lanes]
+    fc, fd = list(f(c, lanes)), list(f(d, lanes))
+    for step in range(max(iters, default=0)):
+        live = [i for i in lanes if step < iters[i] and not b[i] - a[i] < tol]
+        if not live:
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc > fd else (d, fd)
+        up = [fc[i] > fd[i] for i in live]
+        probes = []
+        for i, left in zip(live, up):
+            if left:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = b[i] - _INVPHI * (b[i] - a[i])
+                probes.append(c[i])
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = a[i] + _INVPHI * (b[i] - a[i])
+                probes.append(d[i])
+        for i, left, val in zip(live, up, f(probes, live)):
+            if left:
+                fc[i] = val
+            else:
+                fd[i] = val
+    best = [(c[i], fc[i]) if fc[i] > fd[i] else (d[i], fd[i]) for i in lanes]
+    return np.array([x for x, _ in best]), np.array([fx for _, fx in best])
 
 
 def _check_hypothesis_and_pick_r1(

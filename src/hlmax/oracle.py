@@ -8,6 +8,13 @@ quadrature stack (QUADPACK in linear scale, with the angular factor done by
 direct integration of sin^(d-2)) so the two code paths share no
 intermediate values. The QUADPACK functions import scipy.integrate
 themselves: the import takes about 0.65 s, which only `oracle` should pay.
+
+``maximal_sweep`` evaluates many points at once. Each point's radius grid is
+one quadrature call that carries the numerator (capped at vR) and the
+denominator of every grid ball; the golden-section refinements then run in
+lockstep, one call per step for every point still refining. ``run_oracle``
+puts R e1 (20 steps) and the level-set points (12 steps) into one sweep, so
+``oracle --samples 2`` makes 26 quadrature calls and ``--samples 20`` 44.
 """
 from __future__ import annotations
 
@@ -25,15 +32,88 @@ MAX_ORACLE_DIM = 10
 MAX_SAMPLING_DIM = 6
 DEFAULT_GRID = 512
 DEFAULT_REFINE = 20
+LEVEL_SET_REFINE = 12
+LEVEL_SET_SLACK = 1e-6
 _ORACLE_REL_TOL = 1e-7
 
 
-def _ratio_logs(density, v_radius, x0, rs, rel_tol):
-    nums = _offcenter_logs(density, x0, rs, np.full(len(rs), v_radius), rel_tol)
-    dens = _offcenter_logs(density, x0, rs, None, rel_tol)
+def _ratio_logs(density, v_radius, centers, rs, rel_tol):
+    """log mu(B(x, r) ∩ B(0, vR)) - log mu(B(x, r)) for balls of radii rs about
+    points of norms ``centers``: one quadrature call for both terms."""
+    n = len(rs)
+    both = _offcenter_logs(
+        density,
+        np.concatenate([centers, centers]),
+        np.concatenate([rs, rs]),
+        np.concatenate([np.full(n, v_radius), np.full(n, math.inf)]),
+        rel_tol,
+    )
+    nums, dens = both[:n], both[n:]
     with np.errstate(invalid="ignore"):
         out = np.where(dens > NEG_INF, nums - dens, NEG_INF)
     return out, dens
+
+
+def maximal_sweep(
+    density: RadialDensity,
+    v: float,
+    R: float,
+    eval_radii,
+    refine,
+    grid: int = DEFAULT_GRID,
+    rel_tol: float = _ORACLE_REL_TOL,
+) -> np.ndarray:
+    """Grid lower estimates of log M_mu chi_{B(0,vR)} at points of the given
+    norms, ``refine`` golden-section steps for each (one count, or one per
+    point).
+
+    The supremum over ball radii is approximated by a log-spaced grid over
+    [1e-3 vR, 10 (R+H)] plus golden-section refinement around each point's
+    argmax; every result is a lower estimate by construction. Each distinct
+    norm gets its own grid call (numerators and denominators of its ``grid``
+    radii together). The refinements run in lockstep: one call per step
+    carries one radius for every point still refining.
+    """
+    d = density.dim
+    if d > MAX_ORACLE_DIM:
+        raise DomainError(
+            f"direct maximal-function evaluation is limited to d <= "
+            f"{MAX_ORACLE_DIM} (quadrature cost), got d = {d}"
+        )
+    if grid < 64:
+        raise DomainError(f"grid must have at least 64 radii, got {grid}")
+    eval_radii = np.asarray(eval_radii, dtype=float)
+    if not (0.0 < v <= 1.0) or R <= 0.0 or np.any(eval_radii < 0.0):
+        raise DomainError("need v in (0,1], R > 0, eval_radius >= 0")
+    H = R * math.sqrt(1.0 + v * v)
+    rs = np.geomspace(1e-3 * v * R, 10.0 * (R + H), grid)
+    points, point_of = np.unique(eval_radii, return_inverse=True)
+    best = np.empty(len(points))
+    bracket = np.empty((len(points), 2))
+    for k, rho in enumerate(points):
+        ratios, dens = _ratio_logs(density, v * R, np.full(grid, rho), rs, rel_tol)
+        if not np.any(dens > NEG_INF):
+            raise DomainError("every grid radius gives a zero-measure ball")
+        i = int(np.argmax(ratios))
+        best[k] = ratios[i]
+        bracket[k] = (math.log(rs[max(i - 1, 0)]), math.log(rs[min(i + 1, grid - 1)]))
+    best = best[point_of]
+
+    steps = np.broadcast_to(refine, best.shape)
+    lanes = np.flatnonzero(steps > 0)
+    if len(lanes):
+        lane_points = points[point_of[lanes]]
+
+        def ratio_at(x, live):  # at the ball radii e^x
+            # math.exp: np.exp may round the last bit differently
+            radii = np.array([math.exp(t) for t in x])
+            vals, _ = _ratio_logs(density, v * R, lane_points[live], radii, rel_tol)
+            return vals
+
+        lo, hi = bracket[point_of[lanes]].T
+        _, f_best = golden_section_max(ratio_at, lo, hi, steps[lanes])
+        best[lanes] = np.maximum(best[lanes], f_best)
+    return best
 
 
 def maximal_at_point(
@@ -45,43 +125,10 @@ def maximal_at_point(
     refine: int = DEFAULT_REFINE,
     rel_tol: float = _ORACLE_REL_TOL,
 ) -> LogValue:
-    """Grid lower estimate of M_mu chi_{B(0,vR)} at a point of given norm.
-
-    The supremum over ball radii is approximated by a log-spaced grid over
-    [1e-3 vR, 10 (R+H)] plus golden-section refinement around the argmax;
-    the result is a lower estimate by construction.
-    """
-    d = density.dim
-    if d > MAX_ORACLE_DIM:
-        raise DomainError(
-            f"direct maximal-function evaluation is limited to d <= "
-            f"{MAX_ORACLE_DIM} (quadrature cost), got d = {d}"
-        )
-    if grid < 64:
-        raise DomainError(f"grid must have at least 64 radii, got {grid}")
-    if not (0.0 < v <= 1.0) or R <= 0.0 or eval_radius < 0.0:
-        raise DomainError("need v in (0,1], R > 0, eval_radius >= 0")
-    H = R * math.sqrt(1.0 + v * v)
-    rs = np.geomspace(1e-3 * v * R, 10.0 * (R + H), grid)
-    ratios, dens = _ratio_logs(density, v * R, eval_radius, rs, rel_tol)
-    if not np.any(dens > NEG_INF):
-        raise DomainError("every grid radius gives a zero-measure ball")
-    i = int(np.argmax(ratios))
-    best = float(ratios[i])
-
-    def ratio_at(x: float) -> float:  # at the ball radius e^x
-        vals, _ = _ratio_logs(density, v * R, eval_radius, [math.exp(x)], rel_tol)
-        return float(vals[0])
-
-    if refine > 0:
-        _, f_best = golden_section_max(
-            ratio_at,
-            math.log(rs[max(i - 1, 0)]),
-            math.log(rs[min(i + 1, len(rs) - 1)]),
-            refine,
-        )
-        best = max(best, f_best)
-    return LogValue(best)
+    """Grid lower estimate of M_mu chi_{B(0,vR)} at a point of given norm:
+    the one-point case of ``maximal_sweep``."""
+    vals = maximal_sweep(density, v, R, [eval_radius], refine, grid, rel_tol)
+    return LogValue(float(vals[0]))
 
 
 def certificate_alpha_log(density: RadialDensity, v: float, R: float) -> float:
@@ -92,22 +139,8 @@ def certificate_alpha_log(density: RadialDensity, v: float, R: float) -> float:
     return inner.log_magnitude - LN2 - denom.log_magnitude
 
 
-def verify_level_set(
-    density: RadialDensity,
-    v: float,
-    R: float,
-    samples: int,
-    seed: int,
-    grid: int = 64,
-    refine: int = 12,
-    slack: float = 1e-6,
-) -> tuple[bool, float]:
-    """Check B(0,R) ⊆ {M_mu chi_{B(0,vR)} >= alpha} by seeded radial sampling.
-
-    Radii are drawn uniformly on (0, R) (directions are irrelevant by
-    rotational invariance); the boundary radius R itself is always included.
-    Returns (pass, worst margin in log units).
-    """
+def _level_set_radii(density: RadialDensity, R: float, samples: int, seed: int):
+    """Seeded radii on [0, R] for the level-set check, R itself first."""
     if density.dim > MAX_SAMPLING_DIM:
         raise DomainError(
             f"level-set sampling is limited to d <= {MAX_SAMPLING_DIM}, "
@@ -115,16 +148,36 @@ def verify_level_set(
         )
     if samples < 1:
         raise DomainError("need at least one sample")
-    alpha = certificate_alpha_log(density, v, R)
     rng = np.random.default_rng(seed)
-    radii = np.concatenate([[R], rng.uniform(0.0, R, samples - 1)])
-    worst = math.inf
-    for rho in radii:
-        val = maximal_at_point(
-            density, v, R, float(rho), grid=grid, refine=refine
-        ).log_magnitude
-        worst = min(worst, val - alpha)
+    return np.concatenate([[R], rng.uniform(0.0, R, samples - 1)])
+
+
+def _level_set_verdict(values, alpha: float, slack: float) -> tuple[bool, float]:
+    worst = float(np.min(values - alpha))
     return worst >= -slack, worst
+
+
+def verify_level_set(
+    density: RadialDensity,
+    v: float,
+    R: float,
+    samples: int,
+    seed: int,
+    grid: int = 64,
+    refine: int = LEVEL_SET_REFINE,
+    slack: float = LEVEL_SET_SLACK,
+) -> tuple[bool, float]:
+    """Check B(0,R) ⊆ {M_mu chi_{B(0,vR)} >= alpha} by seeded radial sampling.
+
+    Radii are drawn uniformly on (0, R) (directions are irrelevant by
+    rotational invariance); the boundary radius R itself is always included.
+    All sampled points go through one ``maximal_sweep``.
+    Returns (pass, worst margin in log units).
+    """
+    radii = _level_set_radii(density, R, samples, seed)
+    alpha = certificate_alpha_log(density, v, R)
+    vals = maximal_sweep(density, v, R, radii, refine, grid)
+    return _level_set_verdict(vals, alpha, slack)
 
 
 # -- independent weak-type ratio (linear-scale QUADPACK path) ----------------
@@ -134,19 +187,24 @@ def _sphere_area_linear(d: int) -> float:
     return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
 
 
-def _cap_fraction_quad(d: int, s: float) -> float:
+def _sine_power_quad(d: int, theta: float) -> float:
+    """integral_0^theta sin^(d-2) t dt by QUADPACK."""
+    from scipy import integrate as _si
+
+    val, _ = _si.quad(lambda t: math.sin(t) ** (d - 2), 0.0, theta, epsabs=1e-13)
+    return val
+
+
+def _cap_fraction_quad(d: int, s: float, norm: float) -> float:
+    """Cap fraction {cos angle >= s} of the sphere; ``norm`` is
+    _sine_power_quad(d, pi), the same for every cap of one dimension."""
     if s <= -1.0:
         return 1.0
     if s >= 1.0:
         return 0.0
     if d == 1:
         return 0.5
-    from scipy import integrate as _si
-
-    theta = math.acos(s)
-    num, _ = _si.quad(lambda t: math.sin(t) ** (d - 2), 0.0, theta, epsabs=1e-13)
-    den, _ = _si.quad(lambda t: math.sin(t) ** (d - 2), 0.0, math.pi, epsabs=1e-13)
-    return num / den
+    return _sine_power_quad(d, math.acos(s)) / norm
 
 
 def _mass_origin_quad(density: RadialDensity, radius: float) -> float:
@@ -175,10 +233,11 @@ def _mass_offcenter_quad(density: RadialDensity, center: float, r: float) -> flo
     hi = min(center + r, density.support_radius)
     if hi <= lo:
         return 0.0
+    norm = _sine_power_quad(d, math.pi) if d > 1 else None
 
     def integrand(rho: float) -> float:
         s = (rho * rho + center * center - r * r) / (2.0 * rho * center)
-        frac = _cap_fraction_quad(d, s)
+        frac = _cap_fraction_quad(d, s, norm)
         if frac == 0.0:
             return 0.0
         return float(density.f(rho)) * rho ** (d - 1) * frac
@@ -316,12 +375,22 @@ def run_oracle(
 
     cert = lemma_certificate(density, p, v, R)
     alpha = LogValue(cert.alpha_log)
-    max_val = maximal_at_point(density, v, R, R, grid=max(grid, 64))
     if density.dim <= MAX_SAMPLING_DIM:
-        ok, worst = verify_level_set(density, v, R, samples, seed, grid=grid)
+        # R e1 and the level-set points in one sweep; the level set starts
+        # at R, so the two share its grid
+        radii = _level_set_radii(density, R, samples, seed)
+        level_alpha = certificate_alpha_log(density, v, R)
+        steps = np.full(len(radii) + 1, LEVEL_SET_REFINE)
+        steps[0] = DEFAULT_REFINE
+        vals = maximal_sweep(
+            density, v, R, np.concatenate([[R], radii]), steps, grid
+        )
+        max_val = LogValue(float(vals[0]))
+        ok, worst = _level_set_verdict(vals[1:], level_alpha, LEVEL_SET_SLACK)
         ratio = empirical_weak_ratio(density, p, v, R)
         gap = ratio.log_magnitude - cert.log_lower_bound
     else:
+        max_val = maximal_at_point(density, v, R, R, grid=max(grid, 64))
         ok, worst, ratio, gap = None, None, None, None
     return OracleReport(
         d=density.dim,

@@ -19,6 +19,10 @@ from .errors import QuadraturePrecisionError
 DEFAULT_REL_TOL = 1e-10
 MAX_PANELS = 1 << 15
 _MAX_ROUNDS = 256
+# nodes per integrand call: a larger round is evaluated in slices, so the
+# integrand's temporaries (the cap kernel holds about 18 arrays of its
+# batch) stay bounded however many jobs share the call
+_MAX_NODES = 1 << 14
 
 # 15-point Kronrod rule with embedded 7-point Gauss (QUADPACK dqk15 constants)
 _XK = np.array(
@@ -75,8 +79,16 @@ def _eval_panels(logf, a, b, tags):
     """Kronrod/Gauss panel sums in log space; returns (logI, logErr)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    lf = logf(x.ravel(), np.repeat(tags, _XK.size)).reshape(len(a), _XK.size)
+    x = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
+    node_tags = np.repeat(tags, _XK.size)
+    if x.size > _MAX_NODES:
+        lf = np.concatenate([
+            logf(x[i:i + _MAX_NODES], node_tags[i:i + _MAX_NODES])
+            for i in range(0, x.size, _MAX_NODES)
+        ])
+    else:
+        lf = logf(x, node_tags)
+    lf = lf.reshape(len(a), _XK.size)
     m = np.max(lf, axis=1)
     finite = np.isfinite(m)
     log_i = np.full(len(a), -math.inf)
@@ -116,11 +128,13 @@ def log_integrate_batch(
 ) -> np.ndarray:
     """Log of several integrals of exp(logf) over their initial panels.
 
-    ``logf(x, tags)`` must be vectorized; ``tags`` rides along with each
-    panel so one closure can serve many parameterized integrands. Panels
-    whose job error stays above ``rel_tol`` (relative, in linear terms) are
-    bisected until convergence or until the per-job budget is exhausted,
-    which raises rather than returning a silent estimate.
+    ``logf(x, tags)`` must be vectorized and elementwise (a node's value
+    may not depend on the other nodes of the call); ``tags`` rides along
+    with each panel so one closure can serve many parameterized
+    integrands. Panels whose job error stays above ``rel_tol`` (relative,
+    in linear terms) are bisected until convergence or until the per-job
+    budget is exhausted, which raises rather than returning a silent
+    estimate.
     """
     a = np.asarray([p[0] for p in panels], dtype=float)
     b = np.asarray([p[1] for p in panels], dtype=float)

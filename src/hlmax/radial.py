@@ -368,15 +368,18 @@ def growth_h(
 
 def _offcenter_logs(
     density: RadialDensity,
-    center_radius: float,
+    center_radius,
     radii,
     rho_caps=None,
     rel_tol: float = None,
 ) -> np.ndarray:
     """log mu(B(x0, r) ∩ B(0, rho_cap)) for each r, ||x0|| = center_radius.
 
-    The angular integral over each sphere of radius rho is an exact
-    normalized cap area, leaving one radial integral per ball.
+    ``center_radius`` is one norm for every ball or one per ball. The
+    angular integral over each sphere of radius rho is an exact normalized
+    cap area, leaving one radial integral per ball, and all balls share one
+    quadrature call. The spheres a ball holds whole (all of them when its
+    center is the origin) contribute a radial mass instead.
     """
     rel_tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -386,31 +389,26 @@ def _offcenter_logs(
     caps = np.full(n, math.inf) if rho_caps is None else np.atleast_1d(
         np.asarray(rho_caps, dtype=float)
     )
+    one_center = np.ndim(center_radius) == 0
+    centers = np.full(n, center_radius, dtype=float) if one_center else np.asarray(
+        center_radius, dtype=float
+    )
+    if np.any(centers < 0.0):
+        raise DomainError("center radius must be nonnegative")
     d = density.dim
     log_sigma = _log_sphere_area(d)
     supp = density.support_radius
     out = np.full(n, NEG_INF)
 
-    if center_radius < 0.0:
-        raise DomainError("center radius must be nonnegative")
-    if center_radius == 0.0:
-        for i, (r, cap) in enumerate(zip(radii, caps)):
-            reach = min(r, cap)
-            if reach > 0:
-                mass = _log_radial_mass(density, float(min(reach, supp)), rel_tol)
-                if mass > NEG_INF:
-                    out[i] = log_sigma + mass
-        return out
-
     panels, tags, jobs = [], [], []
     full_parts = np.full(n, NEG_INF)
     n_init = max(8, min(48, int(2.0 * math.sqrt(d))))
-    for i, (r, cap) in enumerate(zip(radii, caps)):
-        lo = max(center_radius - r, 0.0)
-        hi = min(center_radius + r, supp, cap)
+    for i, (r0, r, cap) in enumerate(zip(centers, radii, caps)):
+        lo = max(r0 - r, 0.0)
+        hi = min(r0 + r, supp, cap)
         if hi <= lo:
             continue
-        full_top = r - center_radius  # below this radius whole spheres are inside
+        full_top = r - r0  # below this radius whole spheres are inside
         if full_top > 0.0:
             reach = min(full_top, hi)
             full_parts[i] = _log_radial_mass(density, float(reach), rel_tol)
@@ -426,11 +424,11 @@ def _offcenter_logs(
 
     quad_parts = np.full(n, NEG_INF)
     if panels:
-        r_arr = radii
-        r0 = center_radius
 
         def logf(x, t):
-            r = r_arr[t]
+            # a shared center stays a scalar: no gather on the certify path
+            r0 = center_radius if one_center else centers[t]
+            r = radii[t]
             s = (x * x + r0 * r0 - r * r) / (2.0 * x * r0)
             with np.errstate(divide="ignore"):
                 return (

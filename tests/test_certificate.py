@@ -348,6 +348,25 @@ class TestGoldenSection:
         assert abs(x - 0.7) < 1e-3
         assert len(calls) < 30
 
+    def test_lockstep_brackets_match_scalar_searches(self):
+        # per bracket the same steps as a search of its own, so the same bits;
+        # one call of f per step serves every bracket still searching
+        peaks = [0.3, 0.45, 0.8, 0.1]
+        lo, hi, steps = [0.0, 0.2, 0.5, -1.0], [1.0, 0.9, 1.0, 0.5], [0, 7, 30, 12]
+        calls = []
+
+        def f(x, lanes):
+            calls.append(len(lanes))
+            return [-((t - peaks[i]) ** 2) for t, i in zip(x, lanes)]
+
+        xs, fxs = golden_section_max(f, lo, hi, steps)
+        assert len(calls) == 2 + max(steps)  # the two first probes, then one per step
+        for i, peak in enumerate(peaks):
+            want = golden_section_max(
+                lambda t: -((t - peak) ** 2), lo[i], hi[i], steps[i]
+            )
+            assert (xs[i], fxs[i]) == want
+
 
 class TestUniversal:
     def test_besicovitch_values(self):

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import hlmax.oracle as oracle
+import hlmax.radial as radial
 from hlmax.certificate import lemma_certificate
+from hlmax.cli import main
 from hlmax.errors import DomainError
 from hlmax.oracle import (
     certificate_alpha_log,
     empirical_weak_ratio,
     halfspace_masses,
     maximal_at_point,
+    maximal_sweep,
     run_oracle,
     verify_level_set,
 )
-from hlmax.radial import RadialDensity
+from hlmax.radial import RadialDensity, _offcenter_logs
 
 from oracles import lens_area
 
@@ -53,6 +57,90 @@ class TestMaximalAtPoint:
     def test_grid_guard(self):
         with pytest.raises(DomainError):
             maximal_at_point(RadialDensity.lebesgue(2), 0.5, 1.0, 1.0, grid=32)
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "dens",
+        [RadialDensity.restricted_lebesgue(2), RadialDensity.power(3, 0.5)],
+        ids=["restricted-lebesgue-2", "power-3"],
+    )
+    def test_matches_one_point_at_a_time(self, dens):
+        # the origin, interior points and R, with 0, 8 and 12 steps, and R
+        # twice so the two lanes share its grid
+        radii = [0.0, 0.3, 1.0, 0.7, 1.0]
+        steps = [8, 12, 20, 0, 12]
+        swept = maximal_sweep(dens, 0.5, 1.0, radii, steps, grid=64)
+        for rho, k, got in zip(radii, steps, swept):
+            want = maximal_at_point(dens, 0.5, 1.0, rho, grid=64, refine=k)
+            assert got == pytest.approx(want.log_magnitude, abs=1e-12)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(DomainError):
+            maximal_sweep(RadialDensity.lebesgue(2), 0.5, 1.0, [0.5, -0.1], 4, grid=64)
+
+
+class TestMixedCenters:
+    @pytest.mark.parametrize(
+        "dens",
+        [RadialDensity.restricted_lebesgue(2), RadialDensity.log_singularity(3)],
+        ids=["restricted-lebesgue-2", "log-singularity-3"],
+    )
+    def test_matches_per_center_calls(self, dens):
+        # not bit for bit: a panel's Kronrod sum may differ in its last bit
+        # with its place in the batch
+        centers = [0.0, 0.4, 1.0, 0.0, 1.0, 2.5]
+        radii = [0.5, 0.9, 1.3, 2.0, 0.2, 1.1]
+        caps = [math.inf, 0.5, 0.5, 0.8, math.inf, 0.5]
+        got = _offcenter_logs(dens, centers, radii, caps, 1e-10)
+        for c, r, cap, g in zip(centers, radii, caps, got):
+            want = float(_offcenter_logs(dens, c, [r], [cap], 1e-10)[0])
+            if want == -math.inf:
+                assert g == -math.inf
+            else:
+                assert g == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_origin_keeps_the_radial_mass(self):
+        dens = RadialDensity.lebesgue(3)
+        got = _offcenter_logs(dens, [0.0, 0.0], [0.7, 2.0], [math.inf, 1.5])
+        want = [math.log(4.0 / 3.0 * math.pi * r**3) for r in (0.7, 1.5)]
+        assert got == pytest.approx(want, abs=1e-14)
+
+    def test_negative_center_rejected(self):
+        with pytest.raises(DomainError):
+            _offcenter_logs(RadialDensity.lebesgue(2), [0.5, -1.0], [1.0, 1.0])
+
+
+class TestWork:
+    @pytest.mark.parametrize("samples, budget", [(2, 30), (20, 50)])
+    def test_quadrature_calls_per_request(self, capsys, monkeypatch, samples, budget):
+        # one grid call per point and one call per golden-section step for
+        # all points: 26 and 44 calls
+        calls = [0]
+        inner = radial.log_integrate_batch
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "log_integrate_batch", counted)
+        radial._log_radial_mass.cache_clear()
+        argv = ["oracle", "--family", "lebesgue", "--d", "3", "--samples", str(samples)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert 0 < calls[0] <= budget
+
+    def test_cap_normalizer_once_per_ball(self, monkeypatch):
+        norms = [0]
+        inner = oracle._sine_power_quad
+
+        def counted(d, theta):
+            norms[0] += theta == math.pi
+            return inner(d, theta)
+
+        monkeypatch.setattr(oracle, "_sine_power_quad", counted)
+        empirical_weak_ratio(RadialDensity.power(3, 0.5), 1.2, 0.5, 1.0)
+        assert norms[0] == 1
 
 
 class TestLevelSet:

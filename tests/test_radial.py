@@ -268,3 +268,26 @@ class TestHighDimension:
         v1 = log_ball_offcenter(dens, 1.0, 0.8).log_magnitude
         v2 = log_ball_offcenter(dens, 10.0, 8.0).log_magnitude
         assert v2 - v1 == pytest.approx(a * math.log(10.0), abs=1e-7)
+
+
+class TestNodeSlices:
+    def test_large_round_is_sliced_without_changing_values(self, monkeypatch):
+        # 300 balls x 8 panels x 15 nodes: a first round of 36000 nodes
+        import hlmax.quadrature as quadrature
+        import hlmax.radial as radial
+
+        dens = RadialDensity.power(3, 0.5)
+        radii = np.linspace(0.2, 2.0, 300)
+        sizes = []
+        inner = radial.log_cap_fraction
+
+        def recorded(d, s):
+            sizes.append(np.size(s))
+            return inner(d, s)
+
+        monkeypatch.setattr(radial, "log_cap_fraction", recorded)
+        sliced = radial._offcenter_logs(dens, 1.0, radii)
+        assert max(sizes) <= quadrature._MAX_NODES < 36000
+        monkeypatch.setattr(quadrature, "_MAX_NODES", 1 << 30)
+        whole = radial._offcenter_logs(dens, 1.0, radii)
+        assert np.array_equal(sliced, whole)
