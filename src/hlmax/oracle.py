@@ -14,7 +14,7 @@ one quadrature call that carries the numerator (capped at vR) and the
 denominator of every grid ball; the golden-section refinements then run in
 lockstep, one call per step for every point still refining. ``run_oracle``
 puts R e1 (20 steps) and the level-set points (12 steps) into one sweep, so
-``oracle --samples 2`` makes 26 quadrature calls and ``--samples 20`` 44.
+``oracle --samples 2`` makes 25 quadrature calls and ``--samples 20`` 43.
 """
 from __future__ import annotations
 
@@ -139,24 +139,6 @@ def certificate_alpha_log(density: RadialDensity, v: float, R: float) -> float:
     return inner.log_magnitude - LN2 - denom.log_magnitude
 
 
-def _level_set_radii(density: RadialDensity, R: float, samples: int, seed: int):
-    """Seeded radii on [0, R] for the level-set check, R itself first."""
-    if density.dim > MAX_SAMPLING_DIM:
-        raise DomainError(
-            f"level-set sampling is limited to d <= {MAX_SAMPLING_DIM}, "
-            f"got d = {density.dim}"
-        )
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    return np.concatenate([[R], rng.uniform(0.0, R, samples - 1)])
-
-
-def _level_set_verdict(values, alpha: float, slack: float) -> tuple[bool, float]:
-    worst = float(np.min(values - alpha))
-    return worst >= -slack, worst
-
-
 def verify_level_set(
     density: RadialDensity,
     v: float,
@@ -174,10 +156,39 @@ def verify_level_set(
     All sampled points go through one ``maximal_sweep``.
     Returns (pass, worst margin in log units).
     """
-    radii = _level_set_radii(density, R, samples, seed)
-    alpha = certificate_alpha_log(density, v, R)
-    vals = maximal_sweep(density, v, R, radii, refine, grid)
-    return _level_set_verdict(vals, alpha, slack)
+    _, ok, worst = _level_set_sweep(density, v, R, samples, seed, grid, refine, slack)
+    return ok, worst
+
+
+def _level_set_sweep(
+    density, v, R, samples, seed, grid, refine, slack, alpha_log=None, lead_refine=0
+):
+    """``verify_level_set``'s check, as (log M at R e1, pass, worst margin).
+
+    With ``lead_refine`` > 0 the sweep also evaluates R e1 with that many
+    golden-section steps, ahead of the sampled points (it shares their grid
+    at R); otherwise the first entry is None. ``alpha_log`` defaults to
+    ``certificate_alpha_log``.
+    """
+    if density.dim > MAX_SAMPLING_DIM:
+        raise DomainError(
+            f"level-set sampling is limited to d <= {MAX_SAMPLING_DIM}, "
+            f"got d = {density.dim}"
+        )
+    if samples < 1:
+        raise DomainError("need at least one sample")
+    if alpha_log is None:
+        alpha_log = certificate_alpha_log(density, v, R)
+    rng = np.random.default_rng(seed)
+    radii = np.concatenate([[R], rng.uniform(0.0, R, samples - 1)])
+    steps = np.full(samples, refine)
+    if lead_refine:
+        radii = np.concatenate([[R], radii])
+        steps = np.concatenate([[lead_refine], steps])
+    vals = maximal_sweep(density, v, R, radii, steps, grid)
+    worst = float(np.min(vals[-samples:] - alpha_log))
+    lead = LogValue(float(vals[0])) if lead_refine else None
+    return lead, worst >= -slack, worst
 
 
 # -- independent weak-type ratio (linear-scale QUADPACK path) ----------------
@@ -376,17 +387,11 @@ def run_oracle(
     cert = lemma_certificate(density, p, v, R)
     alpha = LogValue(cert.alpha_log)
     if density.dim <= MAX_SAMPLING_DIM:
-        # R e1 and the level-set points in one sweep; the level set starts
-        # at R, so the two share its grid
-        radii = _level_set_radii(density, R, samples, seed)
-        level_alpha = certificate_alpha_log(density, v, R)
-        steps = np.full(len(radii) + 1, LEVEL_SET_REFINE)
-        steps[0] = DEFAULT_REFINE
-        vals = maximal_sweep(
-            density, v, R, np.concatenate([[R], radii]), steps, grid
+        # R e1 and the level-set points in one sweep
+        max_val, ok, worst = _level_set_sweep(
+            density, v, R, samples, seed, grid, LEVEL_SET_REFINE, LEVEL_SET_SLACK,
+            cert.alpha_log, DEFAULT_REFINE,
         )
-        max_val = LogValue(float(vals[0]))
-        ok, worst = _level_set_verdict(vals[1:], level_alpha, LEVEL_SET_SLACK)
         ratio = empirical_weak_ratio(density, p, v, R)
         gap = ratio.log_magnitude - cert.log_lower_bound
     else:

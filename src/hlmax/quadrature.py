@@ -81,14 +81,10 @@ def _eval_panels(logf, a, b, tags):
     mid = 0.5 * (a + b)
     x = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
     node_tags = np.repeat(tags, _XK.size)
-    if x.size > _MAX_NODES:
-        lf = np.concatenate([
-            logf(x[i:i + _MAX_NODES], node_tags[i:i + _MAX_NODES])
-            for i in range(0, x.size, _MAX_NODES)
-        ])
-    else:
-        lf = logf(x, node_tags)
-    lf = lf.reshape(len(a), _XK.size)
+    lf = np.concatenate([
+        logf(x[i:i + _MAX_NODES], node_tags[i:i + _MAX_NODES])
+        for i in range(0, x.size, _MAX_NODES)
+    ]).reshape(len(a), _XK.size)
     m = np.max(lf, axis=1)
     finite = np.isfinite(m)
     log_i = np.full(len(a), -math.inf)

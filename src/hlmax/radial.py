@@ -389,10 +389,7 @@ def _offcenter_logs(
     caps = np.full(n, math.inf) if rho_caps is None else np.atleast_1d(
         np.asarray(rho_caps, dtype=float)
     )
-    one_center = np.ndim(center_radius) == 0
-    centers = np.full(n, center_radius, dtype=float) if one_center else np.asarray(
-        center_radius, dtype=float
-    )
+    centers = np.broadcast_to(np.asarray(center_radius, dtype=float), (n,))
     if np.any(centers < 0.0):
         raise DomainError("center radius must be nonnegative")
     d = density.dim
@@ -426,8 +423,7 @@ def _offcenter_logs(
     if panels:
 
         def logf(x, t):
-            # a shared center stays a scalar: no gather on the certify path
-            r0 = center_radius if one_center else centers[t]
+            r0 = centers[t]
             r = radii[t]
             s = (x * x + r0 * r0 - r * r) / (2.0 * x * r0)
             with np.errstate(divide="ignore"):

@@ -115,7 +115,7 @@ class TestWork:
     @pytest.mark.parametrize("samples, budget", [(2, 30), (20, 50)])
     def test_quadrature_calls_per_request(self, capsys, monkeypatch, samples, budget):
         # one grid call per point and one call per golden-section step for
-        # all points: 26 and 44 calls
+        # all points: 25 and 43 calls
         calls = [0]
         inner = radial.log_integrate_batch
 
