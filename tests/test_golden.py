@@ -44,6 +44,7 @@ CLI_CASES = (
     "critical-p",
     "oracle --family lebesgue --d 3 --samples 2",
     "certify --construction lebesgue-ball --d 10000 --p 1",
+    "oracle --family lebesgue --d 8 --samples 2",
 )
 
 PY_CASES = {
