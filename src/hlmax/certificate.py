@@ -250,7 +250,6 @@ def lemma_certificate(
     v: float,
     R: float,
     rel_tol: float = None,
-    construction: str = "lemma_direct",
 ) -> Certificate:
     """Evaluate the witness bound at a given (v, R).
 
@@ -258,7 +257,7 @@ def lemma_certificate(
     mu(B(0,R)) / (2 mu(B(R e1, H))).
     """
     conjugate_exponent(p)  # reject p < 1 before any quadrature
-    return WitnessTerms.prepare(density, v, R, rel_tol).certificate(p, construction)
+    return WitnessTerms.prepare(density, v, R, rel_tol).certificate(p)
 
 
 # -- growth-hypothesis machinery ---------------------------------------------
@@ -732,12 +731,14 @@ def unit_ball_rate_base(v, q):
     return 2.0 * v ** (1.0 / q) / np.sqrt(3.0 + 2.0 * v * v - v ** 4)
 
 
+_OPTIMIZE_V_GRID = 33  # coarse values of v ahead of the golden-section search
+
+
 def optimize_v(
     density: RadialDensity,
     p: float,
     R: float,
     rel_tol: float = None,
-    coarse: int = 33,
 ) -> tuple[float, Certificate]:
     """Maximize the witness bound over v in (0, 1] by golden-section search.
 
@@ -753,7 +754,7 @@ def optimize_v(
         except EmptyTestFunctionError:
             return NEG_INF
 
-    vs = np.linspace(1.0 / coarse, 1.0, coarse)
+    vs = np.linspace(1.0 / _OPTIMIZE_V_GRID, 1.0, _OPTIMIZE_V_GRID)
     vals = np.array([bound(v) for v in vs])
     if np.all(vals == NEG_INF):
         raise EmptyTestFunctionError("every v gives an empty test function")

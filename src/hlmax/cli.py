@@ -36,7 +36,7 @@ from .certificate import (
     critical_p,
 )
 from .errors import DomainError, HypothesisViolationError, NumericalError
-from .oracle import run_oracle
+from .oracle import MAX_ORACLE_DIM, run_oracle
 from .radial import RadialDensity, parse_kv, parse_segments
 from .specfun import CapSpec, cap_area_bounds, cap_area_exact
 
@@ -255,10 +255,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.d > 10:
+    if args.d > MAX_ORACLE_DIM:
         raise UsageError(
-            f"d = {args.d} > 10: direct maximal-function evaluation needs one "
-            "two-dimensional quadrature per radius and becomes intractable"
+            f"d = {args.d} > {MAX_ORACLE_DIM}: direct maximal-function evaluation "
+            "needs one two-dimensional quadrature per radius and becomes intractable"
         )
     density = _build_density(args, args.d)
     report = run_oracle(

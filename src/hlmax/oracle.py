@@ -13,8 +13,10 @@ themselves: the import takes about 0.65 s, which only `oracle` should pay.
 one quadrature call that carries the numerator (capped at vR) and the
 denominator of every grid ball; the golden-section refinements then run in
 lockstep, one call per step for every point still refining. ``run_oracle``
-puts R e1 (20 steps) and the level-set points (12 steps) into one sweep, so
-``oracle --samples 2`` makes 25 quadrature calls and ``--samples 20`` 43.
+makes one sweep at every d <= 10: R e1 (20 steps) first, then, for
+d <= 6, the level-set points (12 steps), so ``oracle --samples 2`` makes 25
+quadrature calls and ``--samples 20`` 43. The library's radius grid has 64
+radii by default; the CLI asks for 128.
 """
 from __future__ import annotations
 
@@ -23,21 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import golden_section_max
+from .certificate import golden_section_max, lemma_certificate
 from .errors import DomainError
 from .logspace import LN2, NEG_INF, LogValue
-from .radial import RadialDensity, _offcenter_logs, log_ball_at_origin, log_ball_offcenter
+from .radial import RadialDensity, _offcenter_logs
 
 MAX_ORACLE_DIM = 10
 MAX_SAMPLING_DIM = 6
-DEFAULT_GRID = 512
+DEFAULT_GRID = 64
 DEFAULT_REFINE = 20
 LEVEL_SET_REFINE = 12
-LEVEL_SET_SLACK = 1e-6
+LEVEL_SET_SLACK = 1e-6  # log units: M >= alpha is checked as M >= alpha - slack
+DUAL_PATH_TOL = 1e-6
 _ORACLE_REL_TOL = 1e-7
 
 
-def _ratio_logs(density, v_radius, centers, rs, rel_tol):
+def _ratio_logs(density, v_radius, centers, rs):
     """log mu(B(x, r) ∩ B(0, vR)) - log mu(B(x, r)) for balls of radii rs about
     points of norms ``centers``: one quadrature call for both terms."""
     n = len(rs)
@@ -46,7 +49,7 @@ def _ratio_logs(density, v_radius, centers, rs, rel_tol):
         np.concatenate([centers, centers]),
         np.concatenate([rs, rs]),
         np.concatenate([np.full(n, v_radius), np.full(n, math.inf)]),
-        rel_tol,
+        _ORACLE_REL_TOL,
     )
     nums, dens = both[:n], both[n:]
     with np.errstate(invalid="ignore"):
@@ -61,7 +64,6 @@ def maximal_sweep(
     eval_radii,
     refine,
     grid: int = DEFAULT_GRID,
-    rel_tol: float = _ORACLE_REL_TOL,
 ) -> np.ndarray:
     """Grid lower estimates of log M_mu chi_{B(0,vR)} at points of the given
     norms, ``refine`` golden-section steps for each (one count, or one per
@@ -91,7 +93,7 @@ def maximal_sweep(
     best = np.empty(len(points))
     bracket = np.empty((len(points), 2))
     for k, rho in enumerate(points):
-        ratios, dens = _ratio_logs(density, v * R, np.full(grid, rho), rs, rel_tol)
+        ratios, dens = _ratio_logs(density, v * R, np.full(grid, rho), rs)
         if not np.any(dens > NEG_INF):
             raise DomainError("every grid radius gives a zero-measure ball")
         i = int(np.argmax(ratios))
@@ -107,7 +109,7 @@ def maximal_sweep(
         def ratio_at(x, live):  # at the ball radii e^x
             # math.exp: np.exp may round the last bit differently
             radii = np.array([math.exp(t) for t in x])
-            vals, _ = _ratio_logs(density, v * R, lane_points[live], radii, rel_tol)
+            vals, _ = _ratio_logs(density, v * R, lane_points[live], radii)
             return vals
 
         lo, hi = bracket[point_of[lanes]].T
@@ -123,53 +125,15 @@ def maximal_at_point(
     eval_radius: float,
     grid: int = DEFAULT_GRID,
     refine: int = DEFAULT_REFINE,
-    rel_tol: float = _ORACLE_REL_TOL,
 ) -> LogValue:
     """Grid lower estimate of M_mu chi_{B(0,vR)} at a point of given norm:
     the one-point case of ``maximal_sweep``."""
-    vals = maximal_sweep(density, v, R, [eval_radius], refine, grid, rel_tol)
-    return LogValue(float(vals[0]))
+    return LogValue(float(maximal_sweep(density, v, R, [eval_radius], refine, grid)[0]))
 
 
-def certificate_alpha_log(density: RadialDensity, v: float, R: float) -> float:
-    """log alpha = log mu(B(0,vR)) - log(2 mu(B(R e1, H)))."""
-    H = R * math.sqrt(1.0 + v * v)
-    inner = log_ball_at_origin(density, v * R)
-    denom = log_ball_offcenter(density, R, H)
-    return inner.log_magnitude - LN2 - denom.log_magnitude
-
-
-def verify_level_set(
-    density: RadialDensity,
-    v: float,
-    R: float,
-    samples: int,
-    seed: int,
-    grid: int = 64,
-    refine: int = LEVEL_SET_REFINE,
-    slack: float = LEVEL_SET_SLACK,
-) -> tuple[bool, float]:
-    """Check B(0,R) ⊆ {M_mu chi_{B(0,vR)} >= alpha} by seeded radial sampling.
-
-    Radii are drawn uniformly on (0, R) (directions are irrelevant by
-    rotational invariance); the boundary radius R itself is always included.
-    All sampled points go through one ``maximal_sweep``.
-    Returns (pass, worst margin in log units).
-    """
-    _, ok, worst = _level_set_sweep(density, v, R, samples, seed, grid, refine, slack)
-    return ok, worst
-
-
-def _level_set_sweep(
-    density, v, R, samples, seed, grid, refine, slack, alpha_log=None, lead_refine=0
-):
-    """``verify_level_set``'s check, as (log M at R e1, pass, worst margin).
-
-    With ``lead_refine`` > 0 the sweep also evaluates R e1 with that many
-    golden-section steps, ahead of the sampled points (it shares their grid
-    at R); otherwise the first entry is None. ``alpha_log`` defaults to
-    ``certificate_alpha_log``.
-    """
+def _level_set_radii(density: RadialDensity, R: float, samples: int, seed: int):
+    """Seeded norms of the level-set points: R itself, then samples - 1
+    uniform on (0, R) (directions are irrelevant by rotational invariance)."""
     if density.dim > MAX_SAMPLING_DIM:
         raise DomainError(
             f"level-set sampling is limited to d <= {MAX_SAMPLING_DIM}, "
@@ -177,18 +141,27 @@ def _level_set_sweep(
         )
     if samples < 1:
         raise DomainError("need at least one sample")
-    if alpha_log is None:
-        alpha_log = certificate_alpha_log(density, v, R)
     rng = np.random.default_rng(seed)
-    radii = np.concatenate([[R], rng.uniform(0.0, R, samples - 1)])
-    steps = np.full(samples, refine)
-    if lead_refine:
-        radii = np.concatenate([[R], radii])
-        steps = np.concatenate([[lead_refine], steps])
-    vals = maximal_sweep(density, v, R, radii, steps, grid)
-    worst = float(np.min(vals[-samples:] - alpha_log))
-    lead = LogValue(float(vals[0])) if lead_refine else None
-    return lead, worst >= -slack, worst
+    return np.concatenate([[R], rng.uniform(0.0, R, samples - 1)])
+
+
+def verify_level_set(
+    density: RadialDensity, v: float, R: float, samples: int, seed: int
+) -> tuple[bool, float]:
+    """Check B(0,R) ⊆ {M_mu chi_{B(0,vR)} >= alpha} by seeded radial sampling.
+
+    alpha is the lemma's witness level mu(B(0,vR)) / (2 mu(B(R e1, H))), as
+    ``lemma_certificate`` computes it. The boundary radius R and samples - 1
+    radii uniform on (0, R) go through one ``maximal_sweep`` on the default
+    grid of 64 radii, with ``LEVEL_SET_REFINE`` golden-section steps each.
+    The check passes if no margin log M - log alpha is below
+    -``LEVEL_SET_SLACK``. Returns (pass, worst margin in log units).
+    """
+    radii = _level_set_radii(density, R, samples, seed)
+    alpha_log = lemma_certificate(density, 1.0, v, R).alpha_log
+    vals = maximal_sweep(density, v, R, radii, LEVEL_SET_REFINE)
+    worst = float(np.min(vals - alpha_log))
+    return worst >= -LEVEL_SET_SLACK, worst
 
 
 # -- independent weak-type ratio (linear-scale QUADPACK path) ----------------
@@ -335,12 +308,12 @@ class OracleReport:
     rng_seed: int
     samples: int
 
-    def sound(self, slack: float = 1e-6, dual_tol: float = 1e-6) -> bool:
-        if self.max_value.log_magnitude < self.alpha.log_magnitude - slack:
+    def sound(self) -> bool:
+        if self.max_value.log_magnitude < self.alpha.log_magnitude - LEVEL_SET_SLACK:
             return False
         if self.level_set_ok is False:
             return False
-        if self.dual_path_gap is not None and abs(self.dual_path_gap) > dual_tol:
+        if self.dual_path_gap is not None and abs(self.dual_path_gap) > DUAL_PATH_TOL:
             return False
         return True
 
@@ -377,26 +350,23 @@ def run_oracle(
     R: float,
     seed: int,
     samples: int = 200,
-    grid: int = 64,
+    grid: int = DEFAULT_GRID,
 ) -> OracleReport:
     """Full oracle pass: maximal value at R e1, level-set sampling and the
-    independent weak-type ratio. For 6 < d <= 10 only the maximal-function
-    check runs (the sampling paths are too expensive there)."""
-    from .certificate import lemma_certificate
-
+    independent weak-type ratio. One ``maximal_sweep`` evaluates R e1 and
+    the level-set points; for 6 < d <= 10 only R e1 is checked (the sampling
+    paths are too expensive there)."""
     cert = lemma_certificate(density, p, v, R)
-    alpha = LogValue(cert.alpha_log)
-    if density.dim <= MAX_SAMPLING_DIM:
-        # R e1 and the level-set points in one sweep
-        max_val, ok, worst = _level_set_sweep(
-            density, v, R, samples, seed, grid, LEVEL_SET_REFINE, LEVEL_SET_SLACK,
-            cert.alpha_log, DEFAULT_REFINE,
-        )
+    sampled = density.dim <= MAX_SAMPLING_DIM
+    level = _level_set_radii(density, R, samples, seed) if sampled else np.empty(0)
+    steps = np.concatenate([[DEFAULT_REFINE], np.full(len(level), LEVEL_SET_REFINE)])
+    vals = maximal_sweep(density, v, R, np.concatenate([[R], level]), steps, grid)
+    ok = worst = ratio = gap = None
+    if sampled:
+        worst = float(np.min(vals[1:] - cert.alpha_log))
+        ok = worst >= -LEVEL_SET_SLACK
         ratio = empirical_weak_ratio(density, p, v, R)
         gap = ratio.log_magnitude - cert.log_lower_bound
-    else:
-        max_val = maximal_at_point(density, v, R, R, grid=max(grid, 64))
-        ok, worst, ratio, gap = None, None, None, None
     return OracleReport(
         d=density.dim,
         density_kv=density.to_kv().replace("\n", "; ").strip("; "),
@@ -404,8 +374,8 @@ def run_oracle(
         v=v,
         R=R,
         point_radius=R,
-        alpha=alpha,
-        max_value=max_val,
+        alpha=LogValue(cert.alpha_log),
+        max_value=LogValue(float(vals[0])),
         level_set_ok=ok,
         worst_margin=worst,
         empirical_weak_ratio=ratio,

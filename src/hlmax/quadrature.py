@@ -120,7 +120,6 @@ def log_integrate_batch(
     job_of,
     n_jobs: int,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_panels: int = MAX_PANELS,
 ) -> np.ndarray:
     """Log of several integrals of exp(logf) over their initial panels.
 
@@ -146,8 +145,8 @@ def log_integrate_batch(
         if not pending.any():
             return totals
         counts = np.bincount(job_of, minlength=n_jobs)
-        if np.any(pending & (counts > max_panels)):
-            bad = int(np.nonzero(pending & (counts > max_panels))[0][0])
+        if np.any(pending & (counts > MAX_PANELS)):
+            bad = int(np.nonzero(pending & (counts > MAX_PANELS))[0][0])
             raise QuadraturePrecisionError(
                 f"integral {bad} still above rel_tol={rel_tol} after "
                 f"{counts[bad]} panels"

@@ -249,7 +249,8 @@ def parse_segments(value: str) -> tuple[Segment, ...]:
     return tuple(segs)
 
 
-def density_from_mapping(kv: dict[str, str]) -> RadialDensity:
+def density_from_kv(text: str) -> RadialDensity:
+    kv = parse_kv(text)
     t, segments = kv.get("t"), kv.get("segments")
     return RadialDensity(
         kv.get("family", ""),
@@ -257,10 +258,6 @@ def density_from_mapping(kv: dict[str, str]) -> RadialDensity:
         t=None if t is None else float(t),
         segments=None if segments is None else parse_segments(segments),
     )
-
-
-def density_from_kv(text: str) -> RadialDensity:
-    return density_from_mapping(parse_kv(text))
 
 
 # -- radial mass (no sphere-area factor) -----------------------------------

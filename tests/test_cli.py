@@ -362,6 +362,16 @@ class TestOracle:
         assert code == 1
         assert "intractable" in err
 
+    @pytest.mark.parametrize("d", ["3", "8"])
+    def test_small_grid_exits_one(self, capsys, d):
+        # the grid guard holds above the sampling limit (d > 6) too
+        code, out, err = run_cli(
+            capsys, "oracle", "--family", "lebesgue", "--d", d, "--grid", "32"
+        )
+        assert code == 1
+        assert out == ""
+        assert "at least 64 radii" in err
+
     def test_seeded_byte_identical(self, capsys):
         args = (
             "oracle", "--family", "truncated-power", "--t", "0.5",

@@ -9,7 +9,6 @@ from hlmax.certificate import lemma_certificate
 from hlmax.cli import main
 from hlmax.errors import DomainError
 from hlmax.oracle import (
-    certificate_alpha_log,
     empirical_weak_ratio,
     halfspace_masses,
     maximal_at_point,
@@ -189,7 +188,7 @@ class TestEmpiricalWeakRatio:
         dens = RadialDensity.restricted_lebesgue(2)
         ratio = empirical_weak_ratio(dens, 1.0, 1.0, 1.0)
         assert ratio.log_magnitude == pytest.approx(
-            certificate_alpha_log(dens, 1.0, 1.0), abs=1e-6
+            lemma_certificate(dens, 1.0, 1.0, 1.0).alpha_log, abs=1e-6
         )
 
     def test_dimension_guard(self):
