@@ -220,19 +220,17 @@ class WitnessTerms:
     denom: LogValue
 
     @classmethod
-    def prepare(
-        cls, density: RadialDensity, v: float, R: float, rel_tol: float = None
-    ) -> "WitnessTerms":
+    def prepare(cls, density: RadialDensity, v: float, R: float) -> "WitnessTerms":
         if not (0.0 < v <= 1.0):
             raise DomainError(f"v must lie in (0, 1], got {v}")
         if R <= 0.0:
             raise DomainError(f"R must be positive, got {R}")
         H = R * math.sqrt(1.0 + v * v)
-        inner = log_ball_at_origin(density, v * R, rel_tol)
+        inner = log_ball_at_origin(density, v * R)
         if inner.is_zero:
             raise EmptyTestFunctionError(f"mu(B(0, {v * R})) = 0: empty test function")
-        level = log_ball_at_origin(density, R, rel_tol)
-        denom = log_ball_offcenter(density, R, H, rel_tol)
+        level = log_ball_at_origin(density, R)
+        denom = log_ball_offcenter(density, R, H)
         return cls(density, v, R, H, inner, level, denom)
 
     def certificate(self, p: float, construction: str = "lemma_direct") -> Certificate:
@@ -245,11 +243,7 @@ class WitnessTerms:
 
 
 def lemma_certificate(
-    density: RadialDensity,
-    p: float,
-    v: float,
-    R: float,
-    rel_tol: float = None,
+    density: RadialDensity, p: float, v: float, R: float
 ) -> Certificate:
     """Evaluate the witness bound at a given (v, R).
 
@@ -257,7 +251,7 @@ def lemma_certificate(
     mu(B(0,R)) / (2 mu(B(R e1, H))).
     """
     conjugate_exponent(p)  # reject p < 1 before any quadrature
-    return WitnessTerms.prepare(density, v, R, rel_tol).certificate(p)
+    return WitnessTerms.prepare(density, v, R).certificate(p)
 
 
 # -- growth-hypothesis machinery ---------------------------------------------
@@ -271,8 +265,8 @@ def _density_scale(density: RadialDensity) -> float:
     return supp if math.isfinite(supp) else 1.0
 
 
-def _log_h(density: RadialDensity, u: float, R: float, rel_tol) -> float:
-    return growth_h(density, u, R, rel_tol).log_magnitude
+def _log_h(density: RadialDensity, u: float, R: float) -> float:
+    return growth_h(density, u, R).log_magnitude
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -333,7 +327,6 @@ def _check_hypothesis_and_pick_r1(
     log_thr_tail: float,
     log_thr_window: float,
     epsilon: float,
-    rel_tol,
 ) -> tuple[HypothesisReport, float]:
     """Verify sup/limsup growth thresholds on a grid and locate a radius R1
     with h(R1) above (1-eps) of the sup threshold while h at the next two
@@ -342,14 +335,14 @@ def _check_hypothesis_and_pick_r1(
         raise DomainError(f"epsilon must lie in (0, 1/10), got {epsilon}")
     scale = _density_scale(density)
     grid = np.geomspace(1e-6 * scale, 1e6 * scale, _GRID_POINTS)
-    h_vals = np.array([_log_h(density, u, R, rel_tol) for R in grid])
+    h_vals = np.array([_log_h(density, u, R) for R in grid])
 
     # sup over R > 0, sharpened around the grid argmax
     i_max = int(np.argmax(h_vals))
     lo = math.log(grid[max(i_max - 1, 0)])
     hi = math.log(grid[min(i_max + 1, len(grid) - 1)])
     x, sup_est = golden_section_max(
-        lambda x: _log_h(density, u, math.exp(x), rel_tol), lo, hi, 24
+        lambda x: _log_h(density, u, math.exp(x)), lo, hi, 24
     )
     sup_loc = math.exp(x)
     if h_vals[i_max] > sup_est:
@@ -363,7 +356,7 @@ def _check_hypothesis_and_pick_r1(
 
     # limsup via tail samples, required monotone within tolerance
     tail_radii = tuple(f * scale for f in _TAIL_FACTORS)
-    tail_vals = tuple(_log_h(density, u, R, rel_tol) for R in tail_radii)
+    tail_vals = tuple(_log_h(density, u, R) for R in tail_radii)
     for a, b in zip(tail_vals[:-1], tail_vals[1:]):
         if b > a + 1e-9:
             raise NonSettlingTailError(
@@ -392,8 +385,8 @@ def _check_hypothesis_and_pick_r1(
 
     def window_ok(R: float) -> bool:
         return (
-            _log_h(density, u, R / u, rel_tol) < thr_w
-            and _log_h(density, u, R / (u * u), rel_tol) < thr_w
+            _log_h(density, u, R / u) < thr_w
+            and _log_h(density, u, R / (u * u)) < thr_w
         )
 
     in_a = h_vals >= thr_a
@@ -401,7 +394,7 @@ def _check_hypothesis_and_pick_r1(
         # the admissible set reaches the end of the grid: march outward
         R = float(grid[-1])
         for _ in range(60):
-            if _log_h(density, u, R, rel_tol) >= thr_a and window_ok(R):
+            if _log_h(density, u, R) >= thr_a and window_ok(R):
                 return report, R
             R /= u * u
         raise NonSettlingTailError(
@@ -418,7 +411,7 @@ def _check_hypothesis_and_pick_r1(
         r_lo, r_hi = float(grid[i]), float(grid[i + 1])
         for _ in range(90):  # bisect the upper boundary of the admissible set
             mid = math.sqrt(r_lo * r_hi)
-            if _log_h(density, u, mid, rel_tol) >= thr_a:
+            if _log_h(density, u, mid) >= thr_a:
                 moved, r_lo = mid != r_lo, mid
             else:
                 moved, r_hi = mid != r_hi, mid
@@ -488,14 +481,12 @@ class DecpTerms:
     hypothesis: HypothesisReport
 
     @classmethod
-    def prepare(
-        cls, density: RadialDensity, epsilon: float = 0.01, rel_tol: float = None
-    ) -> "DecpTerms":
+    def prepare(cls, density: RadialDensity, epsilon: float = 0.01) -> "DecpTerms":
         log_tau = (density.dim / 6.0) * math.log(64.0 / 55.0)
         report, r1 = _check_hypothesis_and_pick_r1(
-            density, U_SPLIT, log_tau, log_tau, log_tau, epsilon, rel_tol
+            density, U_SPLIT, log_tau, log_tau, log_tau, epsilon
         )
-        return cls(WitnessTerms.prepare(density, 0.5, r1, rel_tol), epsilon, report)
+        return cls(WitnessTerms.prepare(density, 0.5, r1), epsilon, report)
 
     def result(self, p: float) -> DecpResult:
         cert = self.witness.certificate(p, "decp")
@@ -515,10 +506,7 @@ class DecpTerms:
 
 
 def decp_certificate(
-    density: RadialDensity,
-    p: float,
-    epsilon: float = 0.01,
-    rel_tol: float = None,
+    density: RadialDensity, p: float, epsilon: float = 0.01
 ) -> DecpResult:
     """Certificate from the three-piece ball split at u = sqrt(2/3), v = 1/2.
 
@@ -527,7 +515,7 @@ def decp_certificate(
     R1 together with the analytic floor, whose sqrt(d) constants come from
     the explicit cap estimates.
     """
-    return DecpTerms.prepare(density, epsilon, rel_tol).result(p)
+    return DecpTerms.prepare(density, epsilon).result(p)
 
 
 @dataclass(frozen=True)
@@ -547,7 +535,6 @@ class GeneralizedDecpTerms:
         t0: float,
         t1: float,
         epsilon: float = 0.01,
-        rel_tol: float = None,
     ) -> "GeneralizedDecpTerms":
         if not (0.0 < t0 < 1.0):
             raise DomainError(f"t0 must lie in (0, 1), got {t0}")
@@ -557,9 +544,9 @@ class GeneralizedDecpTerms:
         lu = -math.log(U_SPLIT)
         t_bar = max(t0, t1)
         report, r1 = _check_hypothesis_and_pick_r1(
-            density, U_SPLIT, t0 * d * lu, t1 * d * lu, t_bar * d * lu, epsilon, rel_tol
+            density, U_SPLIT, t0 * d * lu, t1 * d * lu, t_bar * d * lu, epsilon
         )
-        witness = WitnessTerms.prepare(density, 0.5, r1, rel_tol)
+        witness = WitnessTerms.prepare(density, 0.5, r1)
         beta_log = max(
             -t0 * lu,
             2.0 * t_bar * lu + math.log(_OUT_CAP.t),
@@ -588,7 +575,6 @@ def decp_generalized_certificate(
     t0: float,
     t1: float,
     epsilon: float = 0.01,
-    rel_tol: float = None,
 ) -> GeneralizedDecpResult:
     """Split-ball certificate under decoupled growth thresholds.
 
@@ -603,7 +589,7 @@ def decp_generalized_certificate(
     b(p0) = 1. With t1 below log(64/55)/log(9/4) the outer-shell piece stays
     below 1, so p0 > 1 always.
     """
-    return GeneralizedDecpTerms.prepare(density, t0, t1, epsilon, rel_tol).result(p)
+    return GeneralizedDecpTerms.prepare(density, t0, t1, epsilon).result(p)
 
 
 @dataclass(frozen=True)
@@ -614,8 +600,8 @@ class DoublingTerms:
     witness: WitnessTerms
 
     @classmethod
-    def prepare(cls, t: float, d: int, rel_tol: float = None) -> "DoublingTerms":
-        return cls(WitnessTerms.prepare(RadialDensity.power(d, t), 0.5, 1.0, rel_tol))
+    def prepare(cls, t: float, d: int) -> "DoublingTerms":
+        return cls(WitnessTerms.prepare(RadialDensity.power(d, t), 0.5, 1.0))
 
     def result(self, p: float, p0_budget: float, c: float) -> DoublingResult:
         if p0_budget < p:
@@ -653,12 +639,7 @@ class DoublingTerms:
 
 
 def doubling_certificate(
-    t: float,
-    d: int,
-    p: float,
-    p0_budget: float,
-    c: float,
-    rel_tol: float = None,
+    t: float, d: int, p: float, p0_budget: float, c: float
 ) -> DoublingResult:
     """Certificate for the doubling family f(r) = r^(-t d) at (v, R) = (1/2, 1).
 
@@ -667,7 +648,7 @@ def doubling_certificate(
     closed-form terms, the dimension d0(c) beyond which the cap constants
     drop below 1, and b0 = min(6^(1/d0), 2^(1/p0) / c).
     """
-    return DoublingTerms.prepare(t, d, rel_tol).result(p, p0_budget, c)
+    return DoublingTerms.prepare(t, d).result(p, p0_budget, c)
 
 
 def _doubling_d0(s_mid: float) -> int:
@@ -689,11 +670,11 @@ class LebesgueBallTerms:
     witness: WitnessTerms
 
     @classmethod
-    def prepare(cls, d: int, rel_tol: float = None) -> "LebesgueBallTerms":
+    def prepare(cls, d: int) -> "LebesgueBallTerms":
         if d < 2:
             raise DomainError(f"d >= 2 required (the floor uses a (d-1)-ball), got {d}")
         density = RadialDensity.restricted_lebesgue(d)
-        return cls(WitnessTerms.prepare(density, 0.5, 1.0, rel_tol))
+        return cls(WitnessTerms.prepare(density, 0.5, 1.0))
 
     def result(self, p: float) -> LebesgueBallResult:
         cert = self.witness.certificate(p, "lebesgue_ball")
@@ -709,15 +690,13 @@ class LebesgueBallTerms:
         return LebesgueBallResult(cert, floor)
 
 
-def lebesgue_ball_certificate(
-    d: int, p: float, rel_tol: float = None
-) -> LebesgueBallResult:
+def lebesgue_ball_certificate(d: int, p: float) -> LebesgueBallResult:
     """Certificate for Lebesgue measure restricted to the unit ball, at
     (v, R) = (1/2, 1), with its closed-form floor
 
         (1/2)^(d/q) * vol(B^d) / (2 vol(B^{d-1})) * 3(d+1)/16 * (8/sqrt55)^(d+1).
     """
-    return LebesgueBallTerms.prepare(d, rel_tol).result(p)
+    return LebesgueBallTerms.prepare(d).result(p)
 
 
 # -- v optimization ----------------------------------------------------------
@@ -734,12 +713,7 @@ def unit_ball_rate_base(v, q):
 _OPTIMIZE_V_GRID = 33  # coarse values of v ahead of the golden-section search
 
 
-def optimize_v(
-    density: RadialDensity,
-    p: float,
-    R: float,
-    rel_tol: float = None,
-) -> tuple[float, Certificate]:
+def optimize_v(density: RadialDensity, p: float, R: float) -> tuple[float, Certificate]:
     """Maximize the witness bound over v in (0, 1] by golden-section search.
 
     A coarse grid first checks unimodality of the log bound; if the sampled
@@ -750,7 +724,7 @@ def optimize_v(
 
     def bound(v: float) -> float:
         try:
-            return lemma_certificate(density, p, v, R, rel_tol).log_lower_bound
+            return lemma_certificate(density, p, v, R).log_lower_bound
         except EmptyTestFunctionError:
             return NEG_INF
 
@@ -764,12 +738,12 @@ def optimize_v(
     i = int(np.argmax(vals))
     if not unimodal:
         v_star = float(vs[i])
-        return v_star, lemma_certificate(density, p, v_star, R, rel_tol)
+        return v_star, lemma_certificate(density, p, v_star, R)
     lo = float(vs[max(i - 1, 0)])
     hi = float(vs[min(i + 1, len(vs) - 1)])
     x, _ = golden_section_max(bound, lo, hi, 40, tol=1e-7)
     v_star = float(min(x, 1.0))
-    return v_star, lemma_certificate(density, p, v_star, R, rel_tol)
+    return v_star, lemma_certificate(density, p, v_star, R)
 
 
 # -- universal bounds --------------------------------------------------------

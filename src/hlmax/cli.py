@@ -7,11 +7,11 @@ byte-identical output; all bounds are printed both as natural logs and as
 per-dimension rates.
 
 A density flag its family does not take is an error. certify and scan
-share one construction table and its flags, ``--tol`` included; scan
-prepares the p-independent terms once per d, then assembles each p
-(``--jobs`` is accepted and ignored). Scan rows name their construction and
-the family it certified (doubling: power; lebesgue-ball:
-restricted-lebesgue; whatever ``--family`` says).
+share one construction table and its flags; scan prepares the
+p-independent terms once per d, then assembles each p (``--jobs`` is
+accepted and ignored). Scan rows name their construction and the family
+it certified (doubling: power; lebesgue-ball: restricted-lebesgue;
+whatever ``--family`` says).
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ def _range_spec(text: str) -> list[float]:
     if len(parts) != 3:
         raise UsageError(f"range must look like start:stop:step, got {text!r}")
     start, stop, step = (float(x) for x in parts)
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise UsageError(f"bad range {text!r}")
     out = []
     x = start
@@ -147,16 +147,12 @@ def _doubling_record(terms: DoublingTerms, args, p: float) -> dict:
 CONSTRUCTIONS = {
     "lemma": Construction(
         ("family",),
-        lambda args, d: WitnessTerms.prepare(
-            _build_density(args, d), args.v, args.R, args.tol
-        ),
+        lambda args, d: WitnessTerms.prepare(_build_density(args, d), args.v, args.R),
         lambda terms, args, p: terms.certificate(p).to_record(),
     ),
     "decp": Construction(
         ("family",),
-        lambda args, d: DecpTerms.prepare(
-            _build_density(args, d), args.epsilon, args.tol
-        ),
+        lambda args, d: DecpTerms.prepare(_build_density(args, d), args.epsilon),
         lambda terms, args, p: _record(
             terms.result(p), "epsilon", "r1", "degenerate_rate", "hypothesis"
         ),
@@ -164,7 +160,7 @@ CONSTRUCTIONS = {
     "decp-generalized": Construction(
         ("family", "t0", "t1"),
         lambda args, d: GeneralizedDecpTerms.prepare(
-            _build_density(args, d), args.t0, args.t1, args.epsilon, args.tol
+            _build_density(args, d), args.t0, args.t1, args.epsilon
         ),
         lambda terms, args, p: _record(
             terms.result(p), "p0", "b", "beta_log", "degenerate_rate", "hypothesis"
@@ -172,13 +168,13 @@ CONSTRUCTIONS = {
     ),
     "doubling": Construction(
         ("t", "c"),
-        lambda args, d: DoublingTerms.prepare(args.t, d, args.tol),
+        lambda args, d: DoublingTerms.prepare(args.t, d),
         _doubling_record,
         family="power",
     ),
     "lebesgue-ball": Construction(
         (),
-        lambda args, d: LebesgueBallTerms.prepare(d, args.tol),
+        lambda args, d: LebesgueBallTerms.prepare(d),
         lambda terms, args, p: _record(terms.result(p)),
         family="restricted-lebesgue",
     ),
@@ -201,7 +197,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    ds = [int(x) for x in _range_spec(args.d_range)]
+    ds = _range_spec(args.d_range)
+    for x in ds:
+        if not x.is_integer():
+            raise UsageError(f"--d-range values must be integers, got {x!r}")
+    ds = [int(x) for x in ds]
     ps = [float(x) for x in args.p_list.split(",") if x.strip()]
     if not ds or not ps:
         raise UsageError("empty d-range or p-list")
@@ -347,7 +347,6 @@ def _add_construction_flags(sp) -> None:
     sp.add_argument("--t1", type=float, default=None)
     sp.add_argument("--c", type=float, default=None)
     sp.add_argument("--p0-budget", dest="p0_budget", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None, help="quadrature rel. tolerance in (0, 1)")
 
 
 def build_parser() -> _Parser:
@@ -425,8 +424,6 @@ def main(argv=None) -> int:
             raise UsageError(f"d must be a positive integer, got {args.d}")
         if getattr(args, "p", None) is not None and args.p < 1:
             raise UsageError(f"p must be >= 1, got {args.p}")
-        if getattr(args, "tol", None) is not None and not 0.0 < args.tol < 1.0:
-            raise UsageError(f"--tol must lie in (0, 1), got {args.tol}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -356,6 +356,8 @@ def run_oracle(
     independent weak-type ratio. One ``maximal_sweep`` evaluates R e1 and
     the level-set points; for 6 < d <= 10 only R e1 is checked (the sampling
     paths are too expensive there)."""
+    if samples < 1:
+        raise DomainError("need at least one sample")
     cert = lemma_certificate(density, p, v, R)
     sampled = density.dim <= MAX_SAMPLING_DIM
     level = _level_set_radii(density, R, samples, seed) if sampled else np.empty(0)

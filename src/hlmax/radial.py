@@ -335,27 +335,22 @@ def _log_radial_mass(density: RadialDensity, c: float, rel_tol: float) -> float:
 # -- ball measures ----------------------------------------------------------
 
 
-def log_ball_at_origin(
-    density: RadialDensity, R: float, rel_tol: float = None
-) -> LogValue:
+def log_ball_at_origin(density: RadialDensity, R: float) -> LogValue:
     """log mu(B(0, R)) = log sigma^{d-1}(S^{d-1}) + log radial mass to R."""
     if R <= 0.0:
         raise DomainError(f"ball radius must be positive, got {R}")
-    rel_tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    mass = _log_radial_mass(density, float(R), rel_tol)
+    mass = _log_radial_mass(density, float(R), DEFAULT_REL_TOL)
     if mass == NEG_INF:
         return LogValue(NEG_INF)
     return LogValue(_log_sphere_area(density.dim) + mass)
 
 
-def growth_h(
-    density: RadialDensity, u: float, R: float, rel_tol: float = None
-) -> LogValue:
+def growth_h(density: RadialDensity, u: float, R: float) -> LogValue:
     """log h_u(R) = log mu(B(0,R)) - log mu(B(0,uR)); lies in [0, -d ln u]."""
     if not (0.0 < u < 1.0):
         raise DomainError(f"u must lie in (0, 1), got {u}")
-    num = log_ball_at_origin(density, R, rel_tol)
-    den = log_ball_at_origin(density, u * R, rel_tol)
+    num = log_ball_at_origin(density, R)
+    den = log_ball_at_origin(density, u * R)
     if den.is_zero:
         raise UndefinedGrowthError(
             f"mu(B(0, {u * R})) = 0: growth ratio is undefined"
@@ -368,7 +363,7 @@ def _offcenter_logs(
     center_radius,
     radii,
     rho_caps=None,
-    rel_tol: float = None,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> np.ndarray:
     """log mu(B(x0, r) ∩ B(0, rho_cap)) for each r, ||x0|| = center_radius.
 
@@ -378,7 +373,6 @@ def _offcenter_logs(
     quadrature call. The spheres a ball holds whole (all of them when its
     center is the origin) contribute a radial mass instead.
     """
-    rel_tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0.0):
         raise DomainError("ball radii must be positive")
@@ -442,25 +436,19 @@ def _offcenter_logs(
 
 
 def log_ball_offcenter(
-    density: RadialDensity, center_radius: float, r: float, rel_tol: float = None
+    density: RadialDensity, center_radius: float, r: float
 ) -> LogValue:
     """log mu(B(x0, r)) for a center at distance ``center_radius`` from 0."""
     if r <= 0.0:
         raise DomainError(f"ball radius must be positive, got {r}")
-    return LogValue(float(_offcenter_logs(density, center_radius, [r], None, rel_tol)[0]))
+    return LogValue(float(_offcenter_logs(density, center_radius, [r])[0]))
 
 
 def intersect_origin_ball(
-    density: RadialDensity,
-    rho_max: float,
-    center_radius: float,
-    r: float,
-    rel_tol: float = None,
+    density: RadialDensity, rho_max: float, center_radius: float, r: float
 ) -> LogValue:
     """log mu(B(0, rho_max) ∩ B(x0, r)): the off-center reduction with the
     radial variable clipped at rho_max."""
     if rho_max <= 0.0 or r <= 0.0:
         raise DomainError("rho_max and r must be positive")
-    return LogValue(
-        float(_offcenter_logs(density, center_radius, [r], [rho_max], rel_tol)[0])
-    )
+    return LogValue(float(_offcenter_logs(density, center_radius, [r], [rho_max])[0]))

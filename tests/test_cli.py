@@ -417,8 +417,17 @@ class TestRejectedInput:
             ("certify --family power --d 10 --p 1", "got t=None"),
             ("certify --family piecewise --d 10 --p 1", "needs at least one segment"),
             ("oracle --family power --d 3", "got t=None"),
-            ("certify --family log-singularity --d 5 --p 1 --tol 0", "usage error: --tol"),
+            (
+                "certify --family log-singularity --d 5 --p 1 --tol 0",
+                "usage error: unrecognized arguments: --tol",
+            ),
             ("caps --d 10 --s 0.5 --tol 0.1", "usage error: unrecognized"),
+            ("oracle --family lebesgue --d 8 --samples 0", "need at least one sample"),
+            (
+                "scan --construction lebesgue-ball --d-range 10:11:0.5 --p-list 1",
+                "usage error: --d-range values must be integers, got 10.5",
+            ),
+            ("caps --d 10 --s-grid 0.1:inf:0.1", "usage error: bad range"),
             ("certify --construction lebesgue-ball --d 5 --p 1 --config", "usage error: --config"),
         ],
     )
@@ -438,6 +447,17 @@ class TestConfigAndOutput:
         )
         assert code == 0
         assert json.loads(out)["d"] == 5
+
+    def test_config_tol_key_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-8\n")
+        code, out, err = run_cli(
+            capsys, "certify", "--config", str(cfg), "--construction", "lebesgue-ball",
+            "--d", "5", "--p", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: unrecognized arguments: --tol 1e-8\n"
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
