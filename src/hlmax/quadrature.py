@@ -73,6 +73,7 @@ _WG[1::2] = [
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ]
+_WKG = np.stack([_WK, _WG])
 
 
 def _eval_panels(logf, a, b, tags):
@@ -91,8 +92,9 @@ def _eval_panels(logf, a, b, tags):
     log_e = np.full(len(a), -math.inf)
     if finite.any():
         w = np.exp(lf[finite] - m[finite, None])
-        k_sum = w @ _WK
-        g_sum = w @ _WG
+        # einsum sums each row alone, so a panel's bits do not depend on its
+        # place in the batch (a matrix-vector product need not)
+        k_sum, g_sum = np.einsum("ij,kj->ki", w, _WKG)
         with np.errstate(divide="ignore"):
             log_i[finite] = m[finite] + np.log(k_sum * half[finite])
             log_e[finite] = m[finite] + np.log(np.abs(k_sum - g_sum) * half[finite])
@@ -115,13 +117,15 @@ def _job_logsumexp(values, job_of, n_jobs):
 
 def log_integrate_batch(
     logf,
-    panels,
+    a,
+    b,
     tags,
     job_of,
     n_jobs: int,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> np.ndarray:
-    """Log of several integrals of exp(logf) over their initial panels.
+    """Log of several integrals of exp(logf) over their initial panels
+    [a[k], b[k]].
 
     ``logf(x, tags)`` must be vectorized and elementwise (a node's value
     may not depend on the other nodes of the call); ``tags`` rides along
@@ -131,8 +135,8 @@ def log_integrate_batch(
     budget is exhausted, which raises rather than returning a silent
     estimate.
     """
-    a = np.asarray([p[0] for p in panels], dtype=float)
-    b = np.asarray([p[1] for p in panels], dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     tags = np.asarray(tags, dtype=np.int64)
     job_of = np.asarray(job_of, dtype=np.int64)
     log_tol = math.log(rel_tol)

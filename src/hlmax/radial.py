@@ -296,27 +296,21 @@ def _mass_quad(density: RadialDensity, c: float, rel_tol: float) -> float:
         return density.log_f(rho) + (d - 1) * log_rho + np.where(sigma, x, 0.0)
 
     # (0, first_top] via rho = e^sigma: integrand becomes log f + d*sigma
-    panels, tags = [], []
     sig_hi = math.log(first_top)
     sig_lo = sig_hi - _SIGMA_MARGIN / rate
     step = (sig_hi - sig_lo) / 16
-    for i in range(16):
-        panels.append((sig_lo + i * step, sig_lo + (i + 1) * step))
-        tags.append(1)
+    a = [sig_lo + i * step for i in range(16)]
+    b = [sig_lo + (i + 1) * step for i in range(16)]
+    tags = [1] * 16
     lo = first_top
     for top in edges[1:]:
         step = (top - lo) / 8
-        for i in range(8):
-            panels.append((lo + i * step, lo + (i + 1) * step))
-            tags.append(0)
+        a += [lo + i * step for i in range(8)]
+        b += [lo + (i + 1) * step for i in range(8)]
+        tags += [0] * 8
         lo = top
     result = log_integrate_batch(
-        logf,
-        panels,
-        tags,
-        np.zeros(len(panels), dtype=np.int64),
-        1,
-        rel_tol=rel_tol,
+        logf, a, b, tags, np.zeros(len(a), dtype=np.int64), 1, rel_tol=rel_tol
     )
     return float(result[0])
 
@@ -372,6 +366,11 @@ def _offcenter_logs(
     cap area, leaving one radial integral per ball, and all balls share one
     quadrature call. The spheres a ball holds whole (all of them when its
     center is the origin) contribute a radial mass instead.
+
+    At d = 2 the cap fraction arccos(s)/pi has a square-root endpoint where
+    a sphere touches the ball's boundary (s = ±1), so each radial segment
+    [mid - half, mid + half] is integrated in theta over [-pi/2, pi/2],
+    with rho = mid + half sin theta and the Jacobian half cos theta.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if np.any(radii <= 0.0):
@@ -385,47 +384,70 @@ def _offcenter_logs(
         raise DomainError("center radius must be nonnegative")
     d = density.dim
     log_sigma = _log_sphere_area(d)
-    supp = density.support_radius
     out = np.full(n, NEG_INF)
 
-    panels, tags, jobs = [], [], []
+    lo = np.maximum(centers - radii, 0.0)
+    hi = np.minimum(np.minimum(centers + radii, density.support_radius), caps)
+    full_top = radii - centers  # below this radius whole spheres are inside
+    reach = np.minimum(full_top, hi)
+    full = (hi > lo) & (full_top > 0.0)
     full_parts = np.full(n, NEG_INF)
-    n_init = max(8, min(48, int(2.0 * math.sqrt(d))))
-    for i, (r0, r, cap) in enumerate(zip(centers, radii, caps)):
-        lo = max(r0 - r, 0.0)
-        hi = min(r0 + r, supp, cap)
-        if hi <= lo:
-            continue
-        full_top = r - r0  # below this radius whole spheres are inside
-        if full_top > 0.0:
-            reach = min(full_top, hi)
-            full_parts[i] = _log_radial_mass(density, float(reach), rel_tol)
-            lo = max(lo, reach)
-        if hi > lo:
-            edges = [lo] + [x for x in density.breakpoints if lo < x < hi] + [hi]
-            for a, b in zip(edges[:-1], edges[1:]):
-                step = (b - a) / n_init
-                for k in range(n_init):
-                    panels.append((a + k * step, a + (k + 1) * step))
-                    tags.append(i)
-                    jobs.append(i)
+    for i in np.flatnonzero(full):
+        full_parts[i] = _log_radial_mass(density, float(reach[i]), rel_tol)
+    lo = np.where(full, np.maximum(lo, reach), lo)
+
+    # radial segments between lo, the breakpoints inside (lo, hi) and hi; a
+    # breakpoint outside clips to an empty segment, as does a ball with
+    # hi <= lo
+    edges = np.column_stack(
+        [lo] + [np.clip(x, lo, hi) for x in density.breakpoints] + [hi]
+    )
+    seg_a = edges[:, :-1].ravel()
+    seg_b = edges[:, 1:].ravel()
+    seg_ball = np.repeat(np.arange(n), edges.shape[1] - 1)
+    live = seg_b > seg_a
+    seg_a, seg_b, seg_ball = seg_a[live], seg_b[live], seg_ball[live]
 
     quad_parts = np.full(n, NEG_INF)
-    if panels:
+    if len(seg_a):
+        n_init = max(8, min(48, int(2.0 * math.sqrt(d))))
+        k = np.arange(n_init)
+        if d == 2:
+            step = math.pi / n_init
+            left = np.tile(-0.5 * math.pi + k * step, len(seg_a))
+            right = np.tile(-0.5 * math.pi + (k + 1) * step, len(seg_a))
+            mid = 0.5 * (seg_a + seg_b)
+            half = 0.5 * (seg_b - seg_a)
+        else:
+            step = ((seg_b - seg_a) / n_init)[:, None]
+            left = seg_a[:, None] + k * step
+            right = seg_a[:, None] + (k + 1) * step
+        seg_r0 = centers[seg_ball]
+        seg_r = radii[seg_ball]
 
         def logf(x, t):
-            r0 = centers[t]
-            r = radii[t]
-            s = (x * x + r0 * r0 - r * r) / (2.0 * x * r0)
+            r0 = seg_r0[t]
+            r = seg_r[t]
+            rho = mid[t] + half[t] * np.sin(x) if d == 2 else x
+            s = (rho * rho + r0 * r0 - r * r) / (2.0 * rho * r0)
             with np.errstate(divide="ignore"):
-                return (
-                    density.log_f(x)
-                    + (d - 1) * np.log(x)
+                val = (
+                    density.log_f(rho)
+                    + (d - 1) * np.log(rho)
                     + log_cap_fraction(d, np.clip(s, -1.0, 1.0))
                 )
+                if d == 2:
+                    val += np.log(half[t] * np.cos(x))
+            return val
 
         quad_parts = log_integrate_batch(
-            logf, panels, tags, jobs, n, rel_tol=rel_tol
+            logf,
+            left.ravel(),
+            right.ravel(),
+            np.repeat(np.arange(len(seg_a)), n_init),
+            np.repeat(seg_ball, n_init),
+            n,
+            rel_tol=rel_tol,
         )
 
     for i in range(n):

@@ -176,7 +176,7 @@ def test_criterion_10_planar_exactness():
         r = float(rng.uniform(0.2, 2.2))
         got = math.exp(log_ball_offcenter(dens, r0, r).log_magnitude)
         want = lens_area(1.0, r, r0)
-        assert got == pytest.approx(want, rel=1e-8)
+        assert got == pytest.approx(want, rel=1e-10)
         got_leb = math.exp(log_ball_offcenter(leb, r0, r).log_magnitude)
-        assert got_leb == pytest.approx(math.pi * r * r, rel=1e-8)
-    _report(10, "planar off-center measures match the lens closed form to 1e-8")
+        assert got_leb == pytest.approx(math.pi * r * r, rel=1e-10)
+    _report(10, "planar off-center measures match the lens closed form to 1e-10")

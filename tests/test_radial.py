@@ -173,6 +173,21 @@ class TestOffCenter:
         got = log_ball_offcenter(dens, 1.0, H).log_magnitude
         assert got == pytest.approx(math.log(lens_area(1.0, H, 1.0)), abs=1e-9)
 
+    def test_planar_ball_node_budget(self, monkeypatch):
+        # in theta the first 8 panels converge: 120 nodes (450 in rho)
+        import hlmax.radial as radial
+
+        nodes = [0]
+        inner = radial.log_cap_fraction
+
+        def counted(d, s):
+            nodes[0] += np.size(s)
+            return inner(d, s)
+
+        monkeypatch.setattr(radial, "log_cap_fraction", counted)
+        log_ball_offcenter(RadialDensity.restricted_lebesgue(2), 1.0, math.sqrt(1.25))
+        assert 0 < nodes[0] <= 150
+
     def test_halfspace_cap_domination(self):
         # mu(B(e1, sqrt5/2)) <= 2 lambda(B^d ∩ {x1 >= 3/8}) for unit-ball measure
         from oracles import halfspace_ball_slab_volume
@@ -291,3 +306,43 @@ class TestNodeSlices:
         monkeypatch.setattr(quadrature, "_MAX_NODES", 1 << 30)
         whole = radial._offcenter_logs(dens, 1.0, radii)
         assert np.array_equal(sliced, whole)
+
+
+class TestPanelSetup:
+    @pytest.mark.parametrize("d", [3, 12])
+    def test_matches_per_panel_loop(self, monkeypatch, d):
+        # the array set-up must give the panels, in the order and with the
+        # bits, of a loop over balls, segments and panels
+        import hlmax.radial as radial
+
+        dens = RadialDensity.piecewise(d, [(0.5, 2.0), (1.0, 1.0), (1.8, 0.5)])
+        centers = [0.0, 0.3, 1.0, 0.7, 2.5, 1.2, 4.0]
+        radii = [0.5, 0.9, 1.3, 0.2, 1.1, 2.0, 0.5]
+        caps = [math.inf, 0.8, math.inf, 1.5, 0.6, math.inf, math.inf]
+        seen = {}
+
+        def capture(logf, a, b, tags, jobs, n, rel_tol):
+            seen.update(panels=np.column_stack([a, b]), jobs=np.asarray(jobs))
+            return np.zeros(n)
+
+        monkeypatch.setattr(radial, "log_integrate_batch", capture)
+        _offcenter_logs(dens, centers, radii, caps)
+
+        n_init = max(8, min(48, int(2.0 * math.sqrt(d))))
+        panels, jobs = [], []
+        for i, (r0, r, cap) in enumerate(zip(centers, radii, caps)):
+            lo = max(r0 - r, 0.0)
+            hi = min(r0 + r, dens.support_radius, cap)
+            if hi <= lo:
+                continue
+            if r - r0 > 0.0:
+                lo = max(lo, min(r - r0, hi))
+            if hi > lo:
+                edges = [lo] + [x for x in dens.breakpoints if lo < x < hi] + [hi]
+                for a, b in zip(edges[:-1], edges[1:]):
+                    step = (b - a) / n_init
+                    for k in range(n_init):
+                        panels.append((a + k * step, a + (k + 1) * step))
+                        jobs.append(i)
+        assert np.array_equal(seen["panels"], np.array(panels))
+        assert np.array_equal(seen["jobs"], np.array(jobs))

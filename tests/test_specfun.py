@@ -191,7 +191,7 @@ def _mp_log_cap_fraction(d: int, s: float) -> mpmath.mpf:
 def _high_d_reference(d: int) -> tuple[np.ndarray, np.ndarray]:
     # the whole range, plus the band |s| < 8/sqrt(d) around the continued
     # fraction's switch point, where the cap fraction changes fastest
-    band = 8.0 / math.sqrt(d)
+    band = min(8.0 / math.sqrt(d), 0.999)
     s = np.unique(np.concatenate([np.linspace(-0.999, 0.999, 41), np.linspace(-band, band, 21)]))
     ref = np.array([float(_mp_log_cap_fraction(d, float(v))) for v in s])
     return s, ref
@@ -214,8 +214,10 @@ def _assert_log_close(got: np.ndarray, ref: np.ndarray) -> None:
 
 
 class TestCapFractionHighD:
-    # d = 513 is the smallest d on the large-a path (a = 256)
-    DIMS = (513, 5000, 10_000, 100_000)
+    # closed forms at d = 2, 3 and 4; the continued fraction alone from
+    # d = 5; the asymptotic ln B(a, 1/2) from d = 101 (a = 50); the near-one
+    # series as well from d = 513 (a = 256)
+    DIMS = (2, 3, 4, 5, 200, 300, 500, 513, 5000, 10_000, 100_000)
 
     def test_reference_matches_hyp2f1(self):
         with mpmath.workdps(30):
@@ -240,7 +242,9 @@ class TestCapFractionHighD:
         got = np.array([log_cap_fraction(d, float(v))[0] for v in s])
         _assert_log_close(got, ref)
 
-    @pytest.mark.parametrize("d", (3, 100, 1000, 5000, 10_000, 100_000))
+    @pytest.mark.parametrize(
+        "d", (2, 3, 4, 5, 100, 200, 300, 500, 1000, 5000, 10_000, 100_000)
+    )
     def test_batch_independent(self, d):
         rng = np.random.default_rng(d)
         s = np.concatenate(
@@ -252,7 +256,7 @@ class TestCapFractionHighD:
 
     def test_log_beta_half_at_large_a(self):
         with mpmath.workdps(50):
-            for a in (256.0, 499.5, 4999.5, 49999.5):
+            for a in (50.0, 149.5, 256.0, 499.5, 4999.5, 49999.5):
                 ref = mpmath.log(mpmath.beta(a, 0.5))
                 assert specfun._log_beta(a, 0.5) == pytest.approx(float(ref), rel=4e-16)
 
