@@ -284,10 +284,14 @@ def golden_section_max(f, a, b, iters, tol: float = 0.0):
     each for its own number of steps when ``iters`` is a sequence too. Then
     ``f(x, lanes)`` gets a list with one probe for each bracket still
     searching and the list of their indices, and returns their values, so
-    one call serves a whole step; x and f(x) come back as arrays.
+    one call serves a whole step; x and f(x) come back as arrays. The first
+    call carries both first probes of every bracket, so a lane index appears
+    twice in it.
     """
     if np.ndim(a) == 0:
-        x, fx = golden_section_max(lambda x, lanes: [f(x[0])], [a], [b], [iters], tol)
+        x, fx = golden_section_max(
+            lambda x, lanes: [f(t) for t in x], [a], [b], [iters], tol
+        )
         return float(x[0]), float(fx[0])
     a = [float(t) for t in a]
     b = [float(t) for t in b]
@@ -295,7 +299,8 @@ def golden_section_max(f, a, b, iters, tol: float = 0.0):
     lanes = list(range(len(a)))
     c = [b[i] - _INVPHI * (b[i] - a[i]) for i in lanes]
     d = [a[i] + _INVPHI * (b[i] - a[i]) for i in lanes]
-    fc, fd = list(f(c, lanes)), list(f(d, lanes))
+    first = list(f(c + d, lanes + lanes))
+    fc, fd = first[:len(lanes)], first[len(lanes):]
     for step in range(max(iters, default=0)):
         live = [i for i in lanes if step < iters[i] and not b[i] - a[i] < tol]
         if not live:

@@ -4,18 +4,20 @@ The maximal function is evaluated directly as a supremum over a radius grid
 (always from below, so a report can never falsely refute a certificate), the
 level-set inclusion behind every certificate is spot-checked by seeded
 sampling, and the weak-type ratio is recomputed through an entirely separate
-quadrature stack (QUADPACK in linear scale, with the angular factor done by
-direct integration of sin^(d-2)) so the two code paths share no
-intermediate values. The QUADPACK functions import scipy.integrate
-themselves: the import takes about 0.65 s, which only `oracle` should pay.
+quadrature stack (QUADPACK in linear scale, with the angular factor from
+scipy's regularized incomplete beta ``betainc``) so the two code paths
+share no intermediate values. The QUADPACK functions import
+scipy.integrate and scipy.special themselves: the import takes about
+0.65 s, which only `oracle` should pay.
 
 ``maximal_sweep`` evaluates many points at once. Each point's radius grid is
-one quadrature call that carries the numerator (capped at vR) and the
-denominator of every grid ball; the golden-section refinements then run in
-lockstep, one call per step for every point still refining. ``run_oracle``
+one quadrature call that carries the numerator (capped at vR) of every grid
+ball and the denominator of every ball that meets B(0, vR); the
+golden-section refinements then run in lockstep, one call for the first two
+probes and one per step for every point still refining. ``run_oracle``
 makes one sweep at every d <= 10: R e1 (20 steps) first, then, for
-d <= 6, the level-set points (12 steps), so ``oracle --samples 2`` makes 25
-quadrature calls and ``--samples 20`` 43. The library's radius grid has 64
+d <= 6, the level-set points (12 steps), so ``oracle --samples 2`` makes 24
+quadrature calls and ``--samples 20`` 42. The library's radius grid has 64
 radii by default; the CLI asks for 128.
 """
 from __future__ import annotations
@@ -42,18 +44,30 @@ _ORACLE_REL_TOL = 1e-7
 
 def _ratio_logs(density, v_radius, centers, rs):
     """log mu(B(x, r) ∩ B(0, vR)) - log mu(B(x, r)) for balls of radii rs about
-    points of norms ``centers``: one quadrature call for both terms."""
+    points of norms ``centers``: one quadrature call for both terms.
+
+    Only a ball that meets B(0, vR) inside the support gets a denominator
+    (the test is the numerator's own radial range, max(c - r, 0) <
+    min(c + r, supp, vR)): any other has ratio -inf whatever its measure,
+    and its denominator reads -inf.
+    """
     n = len(rs)
+    meet = np.maximum(centers - rs, 0.0) < np.minimum(
+        np.minimum(centers + rs, density.support_radius), v_radius
+    )
+    n_meet = int(np.count_nonzero(meet))
     both = _offcenter_logs(
         density,
-        np.concatenate([centers, centers]),
-        np.concatenate([rs, rs]),
-        np.concatenate([np.full(n, v_radius), np.full(n, math.inf)]),
+        np.concatenate([centers, centers[meet]]),
+        np.concatenate([rs, rs[meet]]),
+        np.concatenate([np.full(n, v_radius), np.full(n_meet, math.inf)]),
         _ORACLE_REL_TOL,
     )
-    nums, dens = both[:n], both[n:]
-    with np.errstate(invalid="ignore"):
-        out = np.where(dens > NEG_INF, nums - dens, NEG_INF)
+    dens = np.full(n, NEG_INF)
+    dens[meet] = both[n:]
+    out = np.full(n, NEG_INF)
+    live = dens > NEG_INF
+    out[live] = both[:n][live] - dens[live]
     return out, dens
 
 
@@ -94,7 +108,11 @@ def maximal_sweep(
     bracket = np.empty((len(points), 2))
     for k, rho in enumerate(points):
         ratios, dens = _ratio_logs(density, v * R, np.full(grid, rho), rs)
-        if not np.any(dens > NEG_INF):
+        # every grid ball lies in the largest, whose denominator the skip in
+        # _ratio_logs passes over only when it misses B(0, vR)
+        if not np.any(dens > NEG_INF) and (
+            _offcenter_logs(density, rho, rs[-1:], None, _ORACLE_REL_TOL)[0] == NEG_INF
+        ):
             raise DomainError("every grid radius gives a zero-measure ball")
         i = int(np.argmax(ratios))
         best[k] = ratios[i]
@@ -171,24 +189,25 @@ def _sphere_area_linear(d: int) -> float:
     return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
 
 
-def _sine_power_quad(d: int, theta: float) -> float:
-    """integral_0^theta sin^(d-2) t dt by QUADPACK."""
-    from scipy import integrate as _si
-
-    val, _ = _si.quad(lambda t: math.sin(t) ** (d - 2), 0.0, theta, epsabs=1e-13)
-    return val
-
-
-def _cap_fraction_quad(d: int, s: float, norm: float) -> float:
-    """Cap fraction {cos angle >= s} of the sphere; ``norm`` is
-    _sine_power_quad(d, pi), the same for every cap of one dimension."""
+def _cap_fraction(d: int, s: float) -> float:
+    """Cap fraction {cos angle >= s} of the sphere by scipy's regularized
+    incomplete beta: 1/2 I_{1-s^2}((d-1)/2, 1/2) for s > 0 and one minus
+    that for s < 0. Where s^2 < 1/2 it uses the complement
+    1/2 - sign(s)/2 I_{s^2}(1/2, (d-1)/2) instead, since 1 - s^2 rounds
+    near s = 0 (a relative error of 1e-8 at |s| = 1e-8)."""
     if s <= -1.0:
         return 1.0
     if s >= 1.0:
         return 0.0
     if d == 1:
         return 0.5
-    return _sine_power_quad(d, math.acos(s)) / norm
+    from scipy.special import betainc
+
+    a = 0.5 * (d - 1)
+    if s * s < 0.5:
+        return 0.5 - math.copysign(0.5 * float(betainc(0.5, a, s * s)), s)
+    half_cap = 0.5 * float(betainc(a, 0.5, (1.0 - s) * (1.0 + s)))
+    return half_cap if s > 0.0 else 1.0 - half_cap
 
 
 def _mass_origin_quad(density: RadialDensity, radius: float) -> float:
@@ -217,11 +236,10 @@ def _mass_offcenter_quad(density: RadialDensity, center: float, r: float) -> flo
     hi = min(center + r, density.support_radius)
     if hi <= lo:
         return 0.0
-    norm = _sine_power_quad(d, math.pi) if d > 1 else None
 
     def integrand(rho: float) -> float:
         s = (rho * rho + center * center - r * r) / (2.0 * rho * center)
-        frac = _cap_fraction_quad(d, s, norm)
+        frac = _cap_fraction(d, s)
         if frac == 0.0:
             return 0.0
         return float(density.f(rho)) * rho ** (d - 1) * frac

@@ -76,43 +76,58 @@ _WG[1::2] = [
 _WKG = np.stack([_WK, _WG])
 
 
+def _panel_logs(lf, m, half):
+    """log of the Kronrod sum and of the Kronrod-Gauss error of each row of
+    ``lf`` (the log integrand at a panel's nodes, with row maxima ``m``)."""
+    w = np.exp(lf - m[:, None])
+    # einsum sums each row alone, so a panel's bits do not depend on its
+    # place in the batch (a matrix-vector product need not)
+    sums = np.einsum("ij,kj->ki", w, _WKG)
+    sums[1] = np.abs(sums[0] - sums[1])
+    with np.errstate(divide="ignore"):  # the error of a panel may be 0
+        return m + np.log(sums * half)
+
+
 def _eval_panels(logf, a, b, tags):
-    """Kronrod/Gauss panel sums in log space; returns (logI, logErr)."""
+    """Kronrod/Gauss panel sums in log space; returns one row of logI and
+    one of logErr."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
-    node_tags = np.repeat(tags, _XK.size)
-    lf = np.concatenate([
-        logf(x[i:i + _MAX_NODES], node_tags[i:i + _MAX_NODES])
-        for i in range(0, x.size, _MAX_NODES)
-    ]).reshape(len(a), _XK.size)
+    lf = np.empty((len(a), _XK.size))
+    # the nodes are built one slice of panels at a time, so no temporary of
+    # the integrand or of this loop exceeds _MAX_NODES nodes
+    per_call = _MAX_NODES // _XK.size
+    for i in range(0, len(a), per_call):
+        j = i + per_call
+        x = (mid[i:j, None] + half[i:j, None] * _XK[None, :]).ravel()
+        lf[i:j] = logf(x, np.repeat(tags[i:j], _XK.size)).reshape(-1, _XK.size)
     m = np.max(lf, axis=1)
     finite = np.isfinite(m)
-    log_i = np.full(len(a), -math.inf)
-    log_e = np.full(len(a), -math.inf)
+    if finite.all():
+        return _panel_logs(lf, m, half)
+    out = np.full((2, len(a)), -math.inf)
     if finite.any():
-        w = np.exp(lf[finite] - m[finite, None])
-        # einsum sums each row alone, so a panel's bits do not depend on its
-        # place in the batch (a matrix-vector product need not)
-        k_sum, g_sum = np.einsum("ij,kj->ki", w, _WKG)
-        with np.errstate(divide="ignore"):
-            log_i[finite] = m[finite] + np.log(k_sum * half[finite])
-            log_e[finite] = m[finite] + np.log(np.abs(k_sum - g_sum) * half[finite])
-    return log_i, log_e
+        out[:, finite] = _panel_logs(lf[finite], m[finite], half[finite])
+    return out
 
 
 def _job_logsumexp(values, job_of, n_jobs):
-    m = np.full(n_jobs, -math.inf)
-    np.maximum.at(m, job_of, values)
-    out = np.full(n_jobs, -math.inf)
+    """Log-sum-exp over the panels of each job, for each row of ``values``
+    (one column per panel); returns one row of n_jobs per row."""
+    rows = len(values)
+    idx = (job_of + n_jobs * np.arange(rows)[:, None]).ravel()
+    flat = values.ravel()
+    m = np.full(rows * n_jobs, -math.inf)
+    np.maximum.at(m, idx, flat)
     finite = np.isfinite(m)
-    if finite.any():
-        shifted = np.zeros(n_jobs)
-        good = np.isfinite(values)
-        np.add.at(shifted, job_of[good], np.exp(values[good] - m[job_of[good]]))
-        with np.errstate(divide="ignore"):
-            out[finite] = m[finite] + np.log(shifted[finite])
-    return out
+    # a -inf panel of a finite job adds exp(-inf) = 0; bincount adds in
+    # panel order, as np.add.at does
+    shifted = np.bincount(
+        idx, weights=np.exp(flat - np.where(finite, m, 0.0)[idx]), minlength=rows * n_jobs
+    )
+    out = np.full(rows * n_jobs, -math.inf)
+    out[finite] = m[finite] + np.log(shifted[finite])
+    return out.reshape(rows, n_jobs)
 
 
 def log_integrate_batch(
@@ -141,10 +156,9 @@ def log_integrate_batch(
     job_of = np.asarray(job_of, dtype=np.int64)
     log_tol = math.log(rel_tol)
 
-    log_i, log_e = _eval_panels(logf, a, b, tags)
+    logs = _eval_panels(logf, a, b, tags)
     for _ in range(_MAX_ROUNDS):
-        totals = _job_logsumexp(log_i, job_of, n_jobs)
-        errs = _job_logsumexp(log_e, job_of, n_jobs)
+        totals, errs = _job_logsumexp(logs, job_of, n_jobs)
         pending = errs > totals + log_tol
         if not pending.any():
             return totals
@@ -156,6 +170,7 @@ def log_integrate_batch(
                 f"{counts[bad]} panels"
             )
         # split panels holding more than their share of the error budget
+        log_e = logs[1]
         share = totals[job_of] + log_tol - np.log(4.0 * np.maximum(counts, 1))[job_of]
         split = pending[job_of] & (log_e >= share)
         if not split.any():
@@ -165,16 +180,16 @@ def log_integrate_batch(
             split = pending[job_of] & (log_e >= worst[job_of])
         keep = ~split
         mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[keep], a[split], mid])
-        new_b = np.concatenate([b[keep], mid, b[split]])
-        new_tags = np.concatenate([tags[keep], tags[split], tags[split]])
-        new_jobs = np.concatenate([job_of[keep], job_of[split], job_of[split]])
-        li_new, le_new = _eval_panels(
-            logf, new_a[len(a[keep]):], new_b[len(a[keep]):], new_tags[len(a[keep]):]
+        child_a = np.concatenate([a[split], mid])
+        child_b = np.concatenate([mid, b[split]])
+        child_tags = np.concatenate([tags[split], tags[split]])
+        logs = np.concatenate(
+            [logs[:, keep], _eval_panels(logf, child_a, child_b, child_tags)], axis=1
         )
-        log_i = np.concatenate([log_i[keep], li_new])
-        log_e = np.concatenate([log_e[keep], le_new])
-        a, b, tags, job_of = new_a, new_b, new_tags, new_jobs
+        a = np.concatenate([a[keep], child_a])
+        b = np.concatenate([b[keep], child_b])
+        tags = np.concatenate([tags[keep], child_tags])
+        job_of = np.concatenate([job_of[keep], job_of[split], job_of[split]])
     raise QuadraturePrecisionError(
         f"quadrature did not converge within {_MAX_ROUNDS} refinement rounds"
     )

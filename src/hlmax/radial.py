@@ -148,11 +148,11 @@ class RadialDensity:
     def log_f(self, r) -> np.ndarray:
         """log f(r), vectorized; -inf outside the support."""
         r = np.asarray(r, dtype=float)
+        if self.family == LEBESGUE:
+            return np.zeros_like(r)
+        if self.family == RESTRICTED_LEBESGUE:
+            return np.where(r <= 1.0, 0.0, -math.inf)
         with np.errstate(divide="ignore"):
-            if self.family == LEBESGUE:
-                return np.zeros_like(r)
-            if self.family == RESTRICTED_LEBESGUE:
-                return np.where(r <= 1.0, 0.0, -math.inf)
             if self.family == POWER:
                 return -self.t * self.dim * np.log(r)
             if self.family == TRUNCATED_POWER:
@@ -384,7 +384,6 @@ def _offcenter_logs(
         raise DomainError("center radius must be nonnegative")
     d = density.dim
     log_sigma = _log_sphere_area(d)
-    out = np.full(n, NEG_INF)
 
     lo = np.maximum(centers - radii, 0.0)
     hi = np.minimum(np.minimum(centers + radii, density.support_radius), caps)
@@ -450,11 +449,12 @@ def _offcenter_logs(
             rel_tol=rel_tol,
         )
 
-    for i in range(n):
-        total = log_add(full_parts[i], quad_parts[i])
-        if total > NEG_INF:
-            out[i] = log_sigma + total
-    return out
+    # log_add of a part and -inf is the part itself, so only balls with both
+    # parts need the scalar sum
+    total = np.maximum(full_parts, quad_parts)
+    for i in np.flatnonzero((full_parts > NEG_INF) & (quad_parts > NEG_INF)):
+        total[i] = log_add(full_parts[i], quad_parts[i])
+    return np.where(total > NEG_INF, log_sigma + total, NEG_INF)
 
 
 def log_ball_offcenter(

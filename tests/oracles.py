@@ -4,10 +4,17 @@ Everything here is deliberately primitive (closed-form plane geometry,
 refined trapezoid sums, direct QUADPACK quadrature, seeded Monte Carlo) and
 shares no code with the log-space engine it checks.
 """
+import json
 import math
+import os
 
+import mpmath
 import numpy as np
 from scipy import integrate
+
+# dimensions of the stored 30-digit cap-fraction references
+HIGH_D_DIMS = (2, 3, 4, 5, 200, 300, 500, 513, 5000, 10_000, 100_000)
+HIGH_D_REFS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cap_refs_highd.json")
 
 
 def lens_area(r1: float, r2: float, dist: float) -> float:
@@ -117,3 +124,44 @@ def offcenter_mass_quadpack(density, center: float, r: float, rho_lo=None, rho_h
         pts.append(r - center)
     val, _ = integrate.quad(integrand, lo, hi, points=sorted(pts) or None, limit=400)
     return sphere_area_linear(d) * val
+
+
+def mp_log_cap_fraction(d: int, s: float) -> mpmath.mpf:
+    """ln of the normalized cap area at 30 digits.
+
+    I_x(a, 1/2) = x^a 2F1(a, 1/2; a+1; x) / (a B(a, 1/2)) with x = 1 - s^2,
+    and 2F1(a, 1/2; a+1; x) = int_0^inf e^-u (y - x expm1(-u/a))^(-1/2) du
+    with y = s^2, which has no cancellation near x = 1. mpmath.betainc and
+    hyp2f1 stop converging there at d = 10^5.
+    """
+    with mpmath.workdps(30):
+        a = mpmath.mpf(d - 1) / 2
+        half = mpmath.mpf(1) / 2
+        y = mpmath.mpf(s) ** 2
+        x = 1 - y
+        f = mpmath.quad(
+            lambda u: mpmath.exp(-u) / mpmath.sqrt(y - x * mpmath.expm1(-u / a)),
+            [0, 1, 10, mpmath.inf],
+        )
+        log_i = a * mpmath.log(x) + mpmath.log(f) - mpmath.log(a)
+        log_i -= mpmath.log(mpmath.beta(a, half))
+        if s >= 0:
+            return mpmath.log(half) + log_i
+        return mpmath.log1p(-half * mpmath.exp(log_i))
+
+
+def high_d_s_grid(d: int) -> np.ndarray:
+    """The s values of the stored references at dimension d: the whole
+    range, plus the band |s| < 8/sqrt(d) around the continued fraction's
+    switch point, where the cap fraction changes fastest."""
+    band = min(8.0 / math.sqrt(d), 0.999)
+    return np.unique(
+        np.concatenate([np.linspace(-0.999, 0.999, 41), np.linspace(-band, band, 21)])
+    )
+
+
+def load_high_d_refs() -> dict:
+    """{d: (s, ln cap fraction)} as stored by scripts/make_cap_refs.py."""
+    with open(HIGH_D_REFS) as fh:
+        raw = json.load(fh)
+    return {int(d): (np.array(v["s"]), np.array(v["log_cap"])) for d, v in raw.items()}

@@ -350,7 +350,8 @@ class TestGoldenSection:
 
     def test_lockstep_brackets_match_scalar_searches(self):
         # per bracket the same steps as a search of its own, so the same bits;
-        # one call of f per step serves every bracket still searching
+        # one call of f serves both first probes of every bracket, then one
+        # call per step every bracket still searching
         peaks = [0.3, 0.45, 0.8, 0.1]
         lo, hi, steps = [0.0, 0.2, 0.5, -1.0], [1.0, 0.9, 1.0, 0.5], [0, 7, 30, 12]
         calls = []
@@ -360,7 +361,8 @@ class TestGoldenSection:
             return [-((t - peaks[i]) ** 2) for t, i in zip(x, lanes)]
 
         xs, fxs = golden_section_max(f, lo, hi, steps)
-        assert len(calls) == 2 + max(steps)  # the two first probes, then one per step
+        assert len(calls) == 1 + max(steps)
+        assert calls[0] == 2 * len(peaks)
         for i, peak in enumerate(peaks):
             want = golden_section_max(
                 lambda t: -((t - peak) ** 2), lo[i], hi[i], steps[i]

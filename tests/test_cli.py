@@ -23,11 +23,15 @@ def run_cli(capsys, *args):
 
 
 def test_import_leaves_out_scipy_integrate():
-    # scipy.integrate costs about 0.65 s of start-up; only the oracle's
-    # QUADPACK functions need it, and they import it themselves
+    # scipy.integrate costs about 0.65 s of start-up and scipy.special a
+    # share of it; only the oracle's QUADPACK functions need them, and they
+    # import them themselves
     src = os.path.dirname(os.path.dirname(os.path.abspath(hlmax.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, hlmax.cli; sys.exit(int('scipy.integrate' in sys.modules))"
+    code = (
+        "import sys, hlmax.cli; "
+        "sys.exit(int('scipy.integrate' in sys.modules or 'scipy.special' in sys.modules))"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 

@@ -307,6 +307,29 @@ class TestNodeSlices:
         whole = radial._offcenter_logs(dens, 1.0, radii)
         assert np.array_equal(sliced, whole)
 
+    def test_large_call_matches_jobs_one_at_a_time(self):
+        # 1200 jobs of one panel: 18000 nodes in the first round. The nodes
+        # are built per slice, and every job keeps the bits of a call of
+        # its own; a third of the jobs vanish on half their range
+        from hlmax.quadrature import _MAX_NODES, log_integrate_batch
+
+        n = 1200
+        scale = np.geomspace(0.1, 400.0, n)
+        sizes = []
+
+        def logf(x, t):
+            sizes.append(x.size)
+            val = -scale[t] * x * x
+            return np.where((t % 3 == 0) & (x < 0.0), -np.inf, val)
+
+        jobs = np.arange(n)
+        whole = log_integrate_batch(logf, np.full(n, -1.0), np.full(n, 1.0), jobs, jobs, n)
+        assert n * 15 > _MAX_NODES >= max(sizes)
+        alone = np.array([
+            log_integrate_batch(logf, [-1.0], [1.0], [k], [0], 1)[0] for k in jobs
+        ])
+        assert np.array_equal(whole.view(np.uint64), alone.view(np.uint64))
+
 
 class TestPanelSetup:
     @pytest.mark.parametrize("d", [3, 12])

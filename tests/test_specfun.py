@@ -21,7 +21,15 @@ from hlmax.specfun import (
     log_sphere_area,
 )
 
-from oracles import mc_ball_volume, normalized_cap_by_quadrature, sphere_area_linear
+from oracles import (
+    HIGH_D_DIMS,
+    high_d_s_grid,
+    load_high_d_refs,
+    mc_ball_volume,
+    mp_log_cap_fraction,
+    normalized_cap_by_quadrature,
+    sphere_area_linear,
+)
 
 
 class TestLogGamma:
@@ -163,38 +171,9 @@ def test_betacf_one_slow_lane_raises():
         specfun._betacf(1e8, 1e8, np.array([0.1, 0.5, 0.3]))
 
 
-def _mp_log_cap_fraction(d: int, s: float) -> mpmath.mpf:
-    """ln of the normalized cap area at 30 digits.
-
-    I_x(a, 1/2) = x^a 2F1(a, 1/2; a+1; x) / (a B(a, 1/2)) with x = 1 - s^2,
-    and 2F1(a, 1/2; a+1; x) = int_0^inf e^-u (y - x expm1(-u/a))^(-1/2) du
-    with y = s^2, which has no cancellation near x = 1. mpmath.betainc and
-    hyp2f1 stop converging there at d = 10^5.
-    """
-    with mpmath.workdps(30):
-        a = mpmath.mpf(d - 1) / 2
-        half = mpmath.mpf(1) / 2
-        y = mpmath.mpf(s) ** 2
-        x = 1 - y
-        f = mpmath.quad(
-            lambda u: mpmath.exp(-u) / mpmath.sqrt(y - x * mpmath.expm1(-u / a)),
-            [0, 1, 10, mpmath.inf],
-        )
-        log_i = a * mpmath.log(x) + mpmath.log(f) - mpmath.log(a)
-        log_i -= mpmath.log(mpmath.beta(a, half))
-        if s >= 0:
-            return mpmath.log(half) + log_i
-        return mpmath.log1p(-half * mpmath.exp(log_i))
-
-
 @functools.lru_cache(maxsize=None)
 def _high_d_reference(d: int) -> tuple[np.ndarray, np.ndarray]:
-    # the whole range, plus the band |s| < 8/sqrt(d) around the continued
-    # fraction's switch point, where the cap fraction changes fastest
-    band = min(8.0 / math.sqrt(d), 0.999)
-    s = np.unique(np.concatenate([np.linspace(-0.999, 0.999, 41), np.linspace(-band, band, 21)]))
-    ref = np.array([float(_mp_log_cap_fraction(d, float(v))) for v in s])
-    return s, ref
+    return load_high_d_refs()[d]
 
 
 def _assert_log_close(got: np.ndarray, ref: np.ndarray) -> None:
@@ -216,8 +195,23 @@ def _assert_log_close(got: np.ndarray, ref: np.ndarray) -> None:
 class TestCapFractionHighD:
     # closed forms at d = 2, 3 and 4; the continued fraction alone from
     # d = 5; the asymptotic ln B(a, 1/2) from d = 101 (a = 50); the near-one
-    # series as well from d = 513 (a = 256)
-    DIMS = (2, 3, 4, 5, 200, 300, 500, 513, 5000, 10_000, 100_000)
+    # series as well from d = 513 (a = 256). The 30-digit references are
+    # stored (scripts/make_cap_refs.py writes them)
+    DIMS = HIGH_D_DIMS
+
+    def test_stored_dims_and_grids(self):
+        refs = load_high_d_refs()
+        assert sorted(refs) == sorted(self.DIMS)
+        for d, (s, ref) in refs.items():
+            assert np.array_equal(s, high_d_s_grid(d))
+            assert len(ref) == len(s)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_stored_reference_recomputes(self, d):
+        # one point per d, a different place of the grid for each d
+        s, ref = _high_d_reference(d)
+        k = d % len(s)
+        assert float(mp_log_cap_fraction(d, float(s[k]))) == ref[k]
 
     def test_reference_matches_hyp2f1(self):
         with mpmath.workdps(30):
@@ -227,7 +221,7 @@ class TestCapFractionHighD:
                 f = mpmath.hyp2f1(a, 0.5, a + 1, x)
                 log_i = a * mpmath.log(x) + mpmath.log(f) - mpmath.log(a)
                 log_i -= mpmath.log(mpmath.beta(a, 0.5))
-                assert float(_mp_log_cap_fraction(5000, s)) == pytest.approx(
+                assert float(mp_log_cap_fraction(5000, s)) == pytest.approx(
                     float(mpmath.log(0.5) + log_i), rel=1e-15
                 )
 
