@@ -10,11 +10,11 @@ For each of the three workloads, pair k = 1..10 runs ``perfbench/run.py
 --seed k`` once on each side for BENCHMARK.json's ``run_seconds``, the
 parent first on odd k and the change first on even k, so a drift of the
 host falls on both sides alike (about 45 minutes in all). A side's figure
-is its median over the pairs. The file also lists every run's wall_s, the pairs the change wins
-on wall_s, the parent's wall_s quartiles, the change against the parent,
-the per-layer metrics of one traced run a side (seed 1), and each side
-against the change side of the previous BENCH_*.json. perfbench itself is
-only run, never changed.
+is its median over the pairs. The file also lists every run's wall_s,
+passes and peak_rss_mb, the pairs the change wins on wall_s, the parent's
+wall_s quartiles, the change against the parent, the per-layer metrics of
+one traced run a side (seed 1), and each side against the change side of
+the previous BENCH_*.json. perfbench itself is only run, never changed.
 """
 from __future__ import annotations
 
@@ -43,9 +43,11 @@ def export_commit(rev: str, dest: str) -> None:
     os.remove(archive)
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+def run_once(
+    checkout: str, workload: str, seed: int, seconds: int, trace: int = 0
+) -> tuple[dict, int]:
     """One perfbench run; returns its end-to-end metrics, or with ``trace``
-    its per-layer metrics."""
+    its per-layer metrics, and the number of passes it made."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
@@ -55,7 +57,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int =
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         raise SystemExit(f"{' '.join(argv)} in {checkout} answered wrongly")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    passes = int(re.search(r"^passes=(\d+)", proc.stdout, re.M).group(1))
+    return {name: m["value"] for name, m in result["metrics"].items()}, passes
 
 
 def environment() -> str:
@@ -118,16 +121,25 @@ def main() -> int:
         sides = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
         for w in WORKLOADS:
             runs = {"parent": [], "change": []}
+            passes = {"parent": [], "change": []}
             for seed in range(1, PAIRS + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], w, seed, seconds))
+                    metrics, n = run_once(sides[side], w, seed, seconds)
+                    runs[side].append(metrics)
+                    passes[side].append(n)
                     print(f"{w} seed {seed} {side}: wall_s {runs[side][-1]['wall_s']:.4g}",
                           file=sys.stderr)
             walls = {side: [r["wall_s"] for r in runs[side]] for side in runs}
             q1, _, q3 = statistics.quantiles(walls["parent"], n=4)
             entry = {side: medians(runs[side]) for side in runs}
             entry["wall_s_runs"] = walls
+            # peak RSS grows with the passes a run keeps, so it is listed
+            # beside them run by run
+            entry["passes_runs"] = passes
+            entry["peak_rss_mb_runs"] = {
+                side: [r["peak_rss_mb"] for r in runs[side]] for side in runs
+            }
             entry["wall_s_change_wins"] = sum(
                 c < p for p, c in zip(walls["parent"], walls["change"])
             )
@@ -138,7 +150,7 @@ def main() -> int:
             # one traced run a side shows in which layer the time moved
             entry["per_layer_seed_1"] = {
                 side: {k: float(f"{v:.4g}") for k, v in
-                       run_once(sides[side], w, 1, seconds, trace=1).items()}
+                       run_once(sides[side], w, 1, seconds, trace=1)[0].items()}
                 for side in ("parent", "change")
             }
             if prev and w in prev[1]["workloads"]:

@@ -12,6 +12,11 @@ Construction-specific builders pick (v, R) so the denominator is
 exponentially small against the numerator in the dimension d; each one also
 carries an analytic floor whose constants come from the explicit two-sided
 cap-area estimates, so every reported bound is fully numeric.
+
+The decp constructions first check a growth hypothesis on
+h_u(R) = mu(B(0,R)) / mu(B(0,uR)) and pick R1 by a grid, golden-section and
+bisection search; each step of that search evaluates h_u at all of its
+radii in one ``growth_h`` call.
 """
 from __future__ import annotations
 
@@ -265,10 +270,6 @@ def _density_scale(density: RadialDensity) -> float:
     return supp if math.isfinite(supp) else 1.0
 
 
-def _log_h(density: RadialDensity, u: float, R: float) -> float:
-    return growth_h(density, u, R).log_magnitude
-
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -335,21 +336,29 @@ def _check_hypothesis_and_pick_r1(
 ) -> tuple[HypothesisReport, float]:
     """Verify sup/limsup growth thresholds on a grid and locate a radius R1
     with h(R1) above (1-eps) of the sup threshold while h at the next two
-    shell radii stays below (1+eps) of the window threshold."""
+    shell radii stays below (1+eps) of the window threshold.
+
+    Each step of the search is one ``growth_h`` call over an array of radii,
+    so one batched mass computation: the whole grid, the tail samples, each
+    golden-section step (one lockstep lane), each bisection or march step
+    and each window check of both shells."""
     if not (0.0 < epsilon < 0.1):
         raise DomainError(f"epsilon must lie in (0, 1/10), got {epsilon}")
     scale = _density_scale(density)
     grid = np.geomspace(1e-6 * scale, 1e6 * scale, _GRID_POINTS)
-    h_vals = np.array([_log_h(density, u, R) for R in grid])
+    h_vals = growth_h(density, u, grid)
 
     # sup over R > 0, sharpened around the grid argmax
     i_max = int(np.argmax(h_vals))
     lo = math.log(grid[max(i_max - 1, 0)])
     hi = math.log(grid[min(i_max + 1, len(grid) - 1)])
-    x, sup_est = golden_section_max(
-        lambda x: _log_h(density, u, math.exp(x)), lo, hi, 24
+    # one lane of the lockstep search: the first call carries both first
+    # probes; math.exp, as np.exp may round the last bit differently
+    x, fx = golden_section_max(
+        lambda xs, lanes: growth_h(density, u, [math.exp(t) for t in xs]),
+        [lo], [hi], [24],
     )
-    sup_loc = math.exp(x)
+    sup_loc, sup_est = math.exp(float(x[0])), float(fx[0])
     if h_vals[i_max] > sup_est:
         sup_loc, sup_est = grid[i_max], h_vals[i_max]
     if sup_est < log_thr_sup - 1e-9:
@@ -361,7 +370,7 @@ def _check_hypothesis_and_pick_r1(
 
     # limsup via tail samples, required monotone within tolerance
     tail_radii = tuple(f * scale for f in _TAIL_FACTORS)
-    tail_vals = tuple(_log_h(density, u, R) for R in tail_radii)
+    tail_vals = tuple(growth_h(density, u, tail_radii).tolist())
     for a, b in zip(tail_vals[:-1], tail_vals[1:]):
         if b > a + 1e-9:
             raise NonSettlingTailError(
@@ -389,17 +398,15 @@ def _check_hypothesis_and_pick_r1(
     thr_w = math.log1p(epsilon) + log_thr_window
 
     def window_ok(R: float) -> bool:
-        return (
-            _log_h(density, u, R / u) < thr_w
-            and _log_h(density, u, R / (u * u)) < thr_w
-        )
+        return bool(np.all(growth_h(density, u, [R / u, R / (u * u)]) < thr_w))
 
     in_a = h_vals >= thr_a
     if in_a[-1]:
         # the admissible set reaches the end of the grid: march outward
         R = float(grid[-1])
         for _ in range(60):
-            if _log_h(density, u, R) >= thr_a and window_ok(R):
+            h, *shells = growth_h(density, u, [R, R / u, R / (u * u)])
+            if h >= thr_a and all(v < thr_w for v in shells):
                 return report, R
             R /= u * u
         raise NonSettlingTailError(
@@ -416,7 +423,7 @@ def _check_hypothesis_and_pick_r1(
         r_lo, r_hi = float(grid[i]), float(grid[i + 1])
         for _ in range(90):  # bisect the upper boundary of the admissible set
             mid = math.sqrt(r_lo * r_hi)
-            if _log_h(density, u, mid) >= thr_a:
+            if growth_h(density, u, [mid])[0] >= thr_a:
                 moved, r_lo = mid != r_lo, mid
             else:
                 moved, r_hi = mid != r_hi, mid

@@ -14,10 +14,12 @@ scipy.integrate and scipy.special themselves: the import takes about
 one quadrature call that carries the numerator (capped at vR) of every grid
 ball and the denominator of every ball that meets B(0, vR); the
 golden-section refinements then run in lockstep, one call for the first two
-probes and one per step for every point still refining. ``run_oracle``
-makes one sweep at every d <= 10: R e1 (20 steps) first, then, for
-d <= 6, the level-set points (12 steps), so ``oracle --samples 2`` makes 24
-quadrature calls and ``--samples 20`` 42. The library's radius grid has 64
+probes and one per step for every point still refining, with each
+distinct ball measured once a call. ``run_oracle`` makes one sweep at
+every d <= 10: R e1 (20 steps) first, then, for d <= 6, the level-set
+points (12 steps), so ``oracle --samples 2`` makes 24 quadrature calls and
+``--samples 20`` 42. R is also the first level-set point, so its two lanes
+share their balls for 12 steps. The library's radius grid has 64
 radii by default; the CLI asks for 128.
 """
 from __future__ import annotations
@@ -88,7 +90,8 @@ def maximal_sweep(
     argmax; every result is a lower estimate by construction. Each distinct
     norm gets its own grid call (numerators and denominators of its ``grid``
     radii together). The refinements run in lockstep: one call per step
-    carries one radius for every point still refining.
+    carries one radius for every point still refining, and a ball that two
+    lanes probe together is measured once.
     """
     d = density.dim
     if d > MAX_ORACLE_DIM:
@@ -126,9 +129,14 @@ def maximal_sweep(
 
         def ratio_at(x, live):  # at the ball radii e^x
             # math.exp: np.exp may round the last bit differently
-            radii = np.array([math.exp(t) for t in x])
-            vals, _ = _ratio_logs(density, v * R, lane_points[live], radii)
-            return vals
+            balls = zip(lane_points[live].tolist(), (math.exp(t) for t in x))
+            # lanes of one point probe the same balls until their step
+            # counts part, so each distinct ball is measured once
+            slot = {}
+            index = [slot.setdefault(ball, len(slot)) for ball in balls]
+            centers, radii = np.array(list(slot)).T
+            vals, _ = _ratio_logs(density, v * R, centers, radii)
+            return vals[index]
 
         lo, hi = bracket[point_of[lanes]].T
         _, f_best = golden_section_max(ratio_at, lo, hi, steps[lanes])

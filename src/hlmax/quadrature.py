@@ -148,7 +148,8 @@ def log_integrate_batch(
     integrands. Panels whose job error stays above ``rel_tol`` (relative,
     in linear terms) are bisected until convergence or until the per-job
     budget is exhausted, which raises rather than returning a silent
-    estimate.
+    estimate. Every pending job refines in every round, so a job gets the
+    bits and the round count of a call of its own whatever jobs share it.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -173,11 +174,14 @@ def log_integrate_batch(
         log_e = logs[1]
         share = totals[job_of] + log_tol - np.log(4.0 * np.maximum(counts, 1))[job_of]
         split = pending[job_of] & (log_e >= share)
-        if not split.any():
-            # roundoff corner: bisect each pending job's worst panel
+        stuck = pending & (np.bincount(job_of[split], minlength=n_jobs) == 0)
+        if stuck.any():
+            # roundoff corner: a pending job with no panel above its share
+            # bisects its worst panel in this round, so it never waits for
+            # the other jobs' rounds
             worst = np.full(n_jobs, -math.inf)
             np.maximum.at(worst, job_of, log_e)
-            split = pending[job_of] & (log_e >= worst[job_of])
+            split |= stuck[job_of] & (log_e >= worst[job_of])
         keep = ~split
         mid = 0.5 * (a[split] + b[split])
         child_a = np.concatenate([a[split], mid])

@@ -5,10 +5,16 @@ have unbounded support. Origin-centered balls use closed forms whenever the
 family admits one; everything else reduces to a single log-space radial
 integral, with the angular part folded into an exact normalized cap area
 per quadrature node.
+
+Radial masses are computed an array of radii at a time: the radii are
+clipped at the support radius, and each distinct one is one job of a
+batched quadrature call (at most ``_MAX_MASS_JOBS`` a call). ``growth_h``
+takes an array of radii, so a step of the growth-hypothesis search is one
+quadrature call. Jobs of a call are refined independently, so a batched
+mass has the bits of the same mass computed alone.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,6 +43,9 @@ FAMILIES = (
 )
 
 _SIGMA_MARGIN = 80.0  # log-units of integrand decay kept below the chunk top
+# radii per mass quadrature call: a longer array is integrated in several
+# calls, so the panels and refinement state of one call stay small
+_MAX_MASS_JOBS = 16
 
 
 class Segment(NamedTuple):
@@ -263,7 +272,11 @@ def density_from_kv(text: str) -> RadialDensity:
 # -- radial mass (no sphere-area factor) -----------------------------------
 
 
-def _mass_closed(density: RadialDensity, c: float) -> float | None:
+_CLOSED_MASS = (LEBESGUE, RESTRICTED_LEBESGUE, POWER, TRUNCATED_POWER)
+
+
+def _mass_closed(density: RadialDensity, c: float) -> float:
+    """The radial mass to c > 0 of a family in ``_CLOSED_MASS``."""
     d = density.dim
     if density.family == LEBESGUE:
         return d * math.log(c) - math.log(d)
@@ -272,29 +285,17 @@ def _mass_closed(density: RadialDensity, c: float) -> float | None:
     if density.family == POWER:
         a = (1.0 - density.t) * d
         return a * math.log(c) - math.log(a)
-    if density.family == TRUNCATED_POWER:
-        a = (1.0 - density.t) * d
-        return a * math.log(min(c, 1.0)) - math.log(a)
-    return None
+    a = (1.0 - density.t) * d  # truncated power
+    return a * math.log(min(c, 1.0)) - math.log(a)
 
 
-def _mass_quad(density: RadialDensity, c: float, rel_tol: float) -> float:
-    hi = min(c, density.support_radius)
-    if hi <= 0.0:
-        return NEG_INF
-    d = density.dim
-    rate = d - density.zero_exponent
+def _mass_panels(density: RadialDensity, hi: float):
+    """Initial panels of the mass integral over (0, hi]: 16 panels in
+    sigma = ln rho up to the first breakpoint (tag 1), then 8 direct panels
+    per breakpoint interval (tag 0)."""
+    rate = density.dim - density.zero_exponent
     edges = [x for x in density.breakpoints if 0.0 < x < hi] + [hi]
     first_top = edges[0]
-
-    def logf(x, tags):
-        sigma = tags == 1
-        rho = np.where(sigma, np.exp(x), x)
-        with np.errstate(divide="ignore"):
-            log_rho = np.where(sigma, x, np.log(np.abs(x) + 1e-320))
-        # sigma panels integrate f(e^s) e^(d s) ds; direct ones f(x) x^(d-1) dx
-        return density.log_f(rho) + (d - 1) * log_rho + np.where(sigma, x, 0.0)
-
     # (0, first_top] via rho = e^sigma: integrand becomes log f + d*sigma
     sig_hi = math.log(first_top)
     sig_lo = sig_hi - _SIGMA_MARGIN / rate
@@ -309,21 +310,60 @@ def _mass_quad(density: RadialDensity, c: float, rel_tol: float) -> float:
         b += [lo + (i + 1) * step for i in range(8)]
         tags += [0] * 8
         lo = top
-    result = log_integrate_batch(
-        logf, a, b, tags, np.zeros(len(a), dtype=np.int64), 1, rel_tol=rel_tol
-    )
-    return float(result[0])
+    return a, b, tags
 
 
-@functools.lru_cache(maxsize=4096)
-def _log_radial_mass(density: RadialDensity, c: float, rel_tol: float) -> float:
-    """log of integral_0^c f(rho) rho^(d-1) d(rho)."""
-    if c <= 0.0:
-        return NEG_INF
-    closed = _mass_closed(density, c)
-    if closed is not None:
-        return closed
-    return _mass_quad(density, c, rel_tol)
+def _mass_quad(density: RadialDensity, radii, rel_tol: float) -> np.ndarray:
+    """log of integral_0^c f(rho) rho^(d-1) d(rho) by quadrature, for each
+    c in ``radii``.
+
+    Each radius is clipped at the support radius, and each distinct clipped
+    radius is one job of a ``log_integrate_batch`` call, with at most
+    ``_MAX_MASS_JOBS`` jobs a call. A job's panels and refinement do not
+    depend on the other jobs, so every mass has the bits of a call of its
+    own.
+    """
+    hi = np.minimum(np.asarray(radii, dtype=float), density.support_radius)
+    tops, job_of_radius = np.unique(hi, return_inverse=True)
+    masses = np.full(len(tops), NEG_INF)
+    d = density.dim
+
+    def logf(x, tags):
+        sigma = tags == 1
+        rho = np.where(sigma, np.exp(x), x)
+        with np.errstate(divide="ignore"):
+            log_rho = np.where(sigma, x, np.log(np.abs(x) + 1e-320))
+        # sigma panels integrate f(e^s) e^(d s) ds; direct ones f(x) x^(d-1) dx
+        return density.log_f(rho) + (d - 1) * log_rho + np.where(sigma, x, 0.0)
+
+    live = np.flatnonzero(tops > 0.0)
+    for start in range(0, len(live), _MAX_MASS_JOBS):
+        jobs = live[start:start + _MAX_MASS_JOBS]
+        a, b, tags, job_of = [], [], [], []
+        for k, top in enumerate(tops[jobs].tolist()):
+            ja, jb, jt = _mass_panels(density, top)
+            a += ja
+            b += jb
+            tags += jt
+            job_of += [k] * len(ja)
+        masses[jobs] = log_integrate_batch(
+            logf, a, b, tags, job_of, len(jobs), rel_tol=rel_tol
+        )
+    return masses[job_of_radius]
+
+
+def _log_radial_mass(density: RadialDensity, radii, rel_tol: float) -> np.ndarray:
+    """log of integral_0^c f(rho) rho^(d-1) d(rho) for each c in ``radii``
+    (-inf for c <= 0): closed forms where the family has one, otherwise
+    one batched quadrature."""
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    out = np.full(len(radii), NEG_INF)
+    pos = radii > 0.0
+    if density.family in _CLOSED_MASS:
+        out[pos] = [_mass_closed(density, c) for c in radii[pos].tolist()]
+    elif pos.any():
+        out[pos] = _mass_quad(density, radii[pos], rel_tol)
+    return out
 
 
 # -- ball measures ----------------------------------------------------------
@@ -333,23 +373,36 @@ def log_ball_at_origin(density: RadialDensity, R: float) -> LogValue:
     """log mu(B(0, R)) = log sigma^{d-1}(S^{d-1}) + log radial mass to R."""
     if R <= 0.0:
         raise DomainError(f"ball radius must be positive, got {R}")
-    mass = _log_radial_mass(density, float(R), DEFAULT_REL_TOL)
+    mass = float(_log_radial_mass(density, [R], DEFAULT_REL_TOL)[0])
     if mass == NEG_INF:
         return LogValue(NEG_INF)
     return LogValue(_log_sphere_area(density.dim) + mass)
 
 
-def growth_h(density: RadialDensity, u: float, R: float) -> LogValue:
-    """log h_u(R) = log mu(B(0,R)) - log mu(B(0,uR)); lies in [0, -d ln u]."""
+def growth_h(density: RadialDensity, u: float, R):
+    """log h_u(R) = log mu(B(0,R)) - log mu(B(0,uR)); lies in [0, -d ln u].
+
+    ``R`` is one radius, which gives a LogValue, or a 1-D array of radii,
+    which gives an array of log h_u. The masses at R and uR of every radius
+    come from one batched computation.
+    """
     if not (0.0 < u < 1.0):
         raise DomainError(f"u must lie in (0, 1), got {u}")
-    num = log_ball_at_origin(density, R)
-    den = log_ball_at_origin(density, u * R)
-    if den.is_zero:
-        raise UndefinedGrowthError(
-            f"mu(B(0, {u * R})) = 0: growth ratio is undefined"
-        )
-    return num / den
+    radii = np.atleast_1d(np.asarray(R, dtype=float))
+    if np.any(radii <= 0.0):
+        raise DomainError(f"ball radius must be positive, got {R}")
+    n = len(radii)
+    inner = u * radii
+    log_sigma = _log_sphere_area(density.dim)
+    balls = log_sigma + _log_radial_mass(
+        density, np.concatenate([radii, inner]), DEFAULT_REL_TOL
+    )
+    num, den = balls[:n], balls[n:]
+    if np.any(den == NEG_INF):
+        zero = float(inner[np.argmax(den == NEG_INF)])
+        raise UndefinedGrowthError(f"mu(B(0, {zero})) = 0: growth ratio is undefined")
+    h = num - den
+    return LogValue(float(h[0])) if np.ndim(R) == 0 else h
 
 
 def _offcenter_logs(
@@ -365,7 +418,8 @@ def _offcenter_logs(
     angular integral over each sphere of radius rho is an exact normalized
     cap area, leaving one radial integral per ball, and all balls share one
     quadrature call. The spheres a ball holds whole (all of them when its
-    center is the origin) contribute a radial mass instead.
+    center is the origin) contribute a radial mass instead; the masses of
+    all balls come from one batched computation.
 
     At d = 2 the cap fraction arccos(s)/pi has a square-root endpoint where
     a sphere touches the ball's boundary (s = ±1), so each radial segment
@@ -391,8 +445,8 @@ def _offcenter_logs(
     reach = np.minimum(full_top, hi)
     full = (hi > lo) & (full_top > 0.0)
     full_parts = np.full(n, NEG_INF)
-    for i in np.flatnonzero(full):
-        full_parts[i] = _log_radial_mass(density, float(reach[i]), rel_tol)
+    if full.any():
+        full_parts[full] = _log_radial_mass(density, reach[full], rel_tol)
     lo = np.where(full, np.maximum(lo, reach), lo)
 
     # radial segments between lo, the breakpoints inside (lo, hi) and hi; a

@@ -330,6 +330,24 @@ class TestPreparedTerms:
         assert calls[0] < 219
         assert res.r1 == 1.194397343722166  # bit-identical to the 90-step value
 
+    def test_decp_prepare_makes_one_quadrature_call_per_search_step(self, monkeypatch):
+        # grid (7 calls of at most 16 masses), 25 golden-section calls, the
+        # tail, one call per bisection step and per window check, then the
+        # witness terms: 90 calls (354 with one mass a call)
+        import hlmax.radial as radial
+
+        calls = [0]
+        inner = radial.log_integrate_batch
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "log_integrate_batch", counted)
+        terms = certificate.DecpTerms.prepare(RadialDensity.log_singularity(100))
+        assert calls[0] <= 100
+        assert terms.witness.R == 1.1748885227502617
+
 
 class TestGoldenSection:
     def test_parabola_maximum(self):

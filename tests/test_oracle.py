@@ -126,7 +126,6 @@ class TestWork:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(radial, "log_integrate_batch", counted)
-        radial._log_radial_mass.cache_clear()
         argv = ["oracle", "--family", "lebesgue", "--d", "3", "--samples", str(samples)]
         assert main(argv) == 0
         capsys.readouterr()
@@ -141,6 +140,26 @@ class TestWork:
     def test_two_samples_make_24_calls(self, capsys, monkeypatch):
         # two grid calls, 21 golden-section calls, one for the certificate
         assert self._oracle_calls(capsys, monkeypatch, 2) == 24
+
+    def test_r_is_swept_once(self, capsys, monkeypatch):
+        # R e1 (20 steps) is also the first level-set point (12 steps): for
+        # 12 steps the two lanes probe the same two balls, which each step
+        # call measures once, so it carries 4 balls (2 points x numerator
+        # and denominator) rather than 6
+        sizes = []
+        inner = oracle._offcenter_logs
+
+        def counted(density, centers, radii, *args):
+            sizes.append(len(radii))
+            return inner(density, centers, radii, *args)
+
+        monkeypatch.setattr(oracle, "_offcenter_logs", counted)
+        argv = ["oracle", "--family", "lebesgue", "--d", "3", "--samples", "2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # two grid calls, both first probes of 2 points, 12 steps of 2
+        # points, 8 steps of R alone
+        assert sizes[2:] == [8] + [4] * 12 + [2] * 8
 
     def test_dual_path_makes_no_nested_quadrature(self, monkeypatch):
         # two origin masses and one off-center mass whose angular factor is

@@ -93,7 +93,7 @@ class TestOriginBalls:
     def test_log_singularity_against_trapezoid(self):
         # refined-trapezoid oracle at 2000 subdivisions, 1e-8 relative
         dens = RadialDensity.log_singularity(3)
-        got = math.exp(_log_radial_mass(dens, 0.5, 1e-10))
+        got = math.exp(_log_radial_mass(dens, [0.5], 1e-10)[0])
         oracle = refined_trapezoid(
             lambda r: -math.log(r) * r * r if r > 0 else 0.0, 0.0, 0.5, n=2000
         )
@@ -102,7 +102,7 @@ class TestOriginBalls:
     def test_piecewise_against_trapezoid(self):
         # oracle integrates each constant piece separately (jump at 0.5)
         dens = RadialDensity.piecewise(3, [(0.5, 2.0), (1.0, 1.0)])
-        got = math.exp(_log_radial_mass(dens, 0.8, 1e-10))
+        got = math.exp(_log_radial_mass(dens, [0.8], 1e-10)[0])
         oracle = refined_trapezoid(lambda r: 2.0 * r * r, 0.0, 0.5, n=2000)
         oracle += refined_trapezoid(lambda r: r * r, 0.5, 0.8, n=2000)
         assert got == pytest.approx(oracle, rel=1e-8)
@@ -369,3 +369,156 @@ class TestPanelSetup:
                         jobs.append(i)
         assert np.array_equal(seen["panels"], np.array(panels))
         assert np.array_equal(seen["jobs"], np.array(jobs))
+
+
+def _scalar_mass_quad(density, c, rel_tol):
+    """Reference: the radial mass to c as one job of a call of its own, with
+    the panels the one-radius code has always built."""
+    from hlmax.quadrature import log_integrate_batch
+
+    hi = min(c, density.support_radius)
+    d = density.dim
+    rate = d - density.zero_exponent
+    edges = [x for x in density.breakpoints if 0.0 < x < hi] + [hi]
+
+    def logf(x, tags):
+        sigma = tags == 1
+        rho = np.where(sigma, np.exp(x), x)
+        with np.errstate(divide="ignore"):
+            log_rho = np.where(sigma, x, np.log(np.abs(x) + 1e-320))
+        return density.log_f(rho) + (d - 1) * log_rho + np.where(sigma, x, 0.0)
+
+    sig_hi = math.log(edges[0])
+    sig_lo = sig_hi - 80.0 / rate
+    step = (sig_hi - sig_lo) / 16
+    a = [sig_lo + i * step for i in range(16)]
+    b = [sig_lo + (i + 1) * step for i in range(16)]
+    tags = [1] * 16
+    lo = edges[0]
+    for top in edges[1:]:
+        step = (top - lo) / 8
+        a += [lo + i * step for i in range(8)]
+        b += [lo + (i + 1) * step for i in range(8)]
+        tags += [0] * 8
+        lo = top
+    return float(log_integrate_batch(logf, a, b, tags, [0] * len(a), 1, rel_tol)[0])
+
+
+_BATCH_FAMILIES = (
+    RadialDensity.lebesgue,
+    RadialDensity.restricted_lebesgue,
+    lambda d: RadialDensity.power(d, 0.4),
+    lambda d: RadialDensity.truncated_power(d, 0.7),
+    RadialDensity.log_singularity,
+    lambda d: RadialDensity.piecewise(d, [(0.5, 2.0, 1.0), (1.0, 1.0), (2.0, 0.0)]),
+    lambda d: RadialDensity.piecewise(d, [(0.3, 3.0), (0.7, 1.0), (1.0, 0.5)]),
+)
+
+
+class TestBatchedMasses:
+    @given(
+        st.sampled_from(range(len(_BATCH_FAMILIES))),
+        st.integers(min_value=2, max_value=60),
+        st.lists(st.floats(min_value=-7.0, max_value=7.0), min_size=31, max_size=45),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_match_one_radius_calls_bit_for_bit(self, fam, d, log_factors):
+        # more than 32 distinct radii cross a chunk edge; the support radius
+        # itself, a radius past it and repeats are in every draw
+        import hlmax.radial as radial
+
+        dens = _BATCH_FAMILIES[fam](d)
+        supp = dens.support_radius
+        scale = supp if math.isfinite(supp) else 1.0
+        radii = [scale * 10.0 ** x for x in log_factors] + [scale, 3.0 * scale, scale]
+        masses = _log_radial_mass(dens, radii, 1e-10)
+        if dens.family in radial._CLOSED_MASS:
+            want = [radial._mass_closed(dens, c) for c in radii]
+        else:
+            want = [_scalar_mass_quad(dens, c, 1e-10) for c in radii]
+        assert np.array_equal(masses.view(np.uint64), np.array(want).view(np.uint64))
+
+        u = 0.8
+        h = growth_h(dens, u, np.array(radii))
+        one = np.array([growth_h(dens, u, R).log_magnitude for R in radii])
+        assert np.array_equal(h.view(np.uint64), one.view(np.uint64))
+
+    def test_distinct_clipped_radii_are_chunked(self, monkeypatch):
+        # 40 distinct radii inside the support and 30 past it: 41 jobs,
+        # in calls of at most _MAX_MASS_JOBS
+        import hlmax.radial as radial
+
+        jobs = []
+        inner = radial.log_integrate_batch
+
+        def counted(logf, a, b, tags, job_of, n, rel_tol):
+            jobs.append(n)
+            return inner(logf, a, b, tags, job_of, n, rel_tol)
+
+        monkeypatch.setattr(radial, "log_integrate_batch", counted)
+        dens = RadialDensity.log_singularity(20)
+        radii = np.concatenate([np.linspace(0.1, 0.9, 40), np.linspace(1.0, 5.0, 30)])
+        radial._mass_quad(dens, radii, 1e-10)
+        assert sum(jobs) == 41
+        assert len(jobs) == -(-41 // radial._MAX_MASS_JOBS)
+        assert max(jobs) == radial._MAX_MASS_JOBS
+
+    def test_growth_h_rejects_a_nonpositive_radius(self):
+        with pytest.raises(DomainError):
+            growth_h(RadialDensity.log_singularity(5), 0.5, np.array([1.0, 0.0]))
+
+
+class TestBatchedQuadrature:
+    @staticmethod
+    def _integrand(calls):
+        # job tag 0: a Gaussian bump; tag 1: a square-root log singularity
+        def logf(x, t):
+            calls.append(x.size)
+            return np.where(
+                t == 0, -290.0 * (x - 0.5) ** 2, 0.5 * np.log(np.abs(x - 0.3) + 1e-300)
+            )
+
+        return logf
+
+    def test_roundoff_corner_is_handled_per_job(self, monkeypatch):
+        # A pending job with no panel above its share of the error budget
+        # (the round-off corner) bisects its worst panel in the same round
+        # as the other jobs refine. A 64-fold pessimistic error estimate
+        # puts the Gaussian job there from its first round, while the
+        # singular job needs 25 refinement rounds: in one call each job
+        # keeps the bits, and the rounds, of a call of its own.
+        import hlmax.quadrature as quadrature
+
+        inner = quadrature._job_logsumexp
+
+        def pessimistic(values, job_of, n_jobs):
+            totals, errs = inner(values, job_of, n_jobs)
+            return totals, errs + math.log(64.0)
+
+        monkeypatch.setattr(quadrature, "_job_logsumexp", pessimistic)
+        edges = np.linspace(0.0, 1.0, 17)
+        a = np.concatenate([edges[:-1], [0.0]])
+        b = np.concatenate([edges[1:], [1.0]])
+        tags = np.concatenate([np.zeros(16, dtype=int), [1]])
+        alone, rounds = [], []
+        for job in (0, 1):
+            calls = []
+            sel = tags == job
+            alone.append(quadrature.log_integrate_batch(
+                self._integrand(calls), a[sel], b[sel], tags[sel], np.zeros(sel.sum()), 1
+            )[0])
+            rounds.append(len(calls))
+        assert rounds[0] > 1  # the corner was reached and left
+        monkeypatch.setattr(quadrature, "_MAX_ROUNDS", max(rounds))
+        both = quadrature.log_integrate_batch(self._integrand([]), a, b, tags, tags, 2)
+        assert np.array_equal(both.view(np.uint64), np.array(alone).view(np.uint64))
+
+    def test_job_over_budget_raises_in_a_batched_call(self, monkeypatch):
+        import hlmax.quadrature as quadrature
+
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
+        logf = self._integrand([])
+        # the Gaussian converges on its own, the singular job needs more panels
+        assert np.isfinite(quadrature.log_integrate_batch(logf, [0.0], [1.0], [0], [0], 1)[0])
+        with pytest.raises(QuadraturePrecisionError):
+            quadrature.log_integrate_batch(logf, [0.0, 0.0], [1.0, 1.0], [0, 1], [0, 1], 2)
