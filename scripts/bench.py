@@ -10,11 +10,13 @@ For each of the three workloads, pair k = 1..10 runs ``perfbench/run.py
 --seed k`` once on each side for BENCHMARK.json's ``run_seconds``, the
 parent first on odd k and the change first on even k, so a drift of the
 host falls on both sides alike (about 45 minutes in all). A side's figure
-is its median over the pairs. The file also lists every run's wall_s,
-passes and peak_rss_mb, the pairs the change wins on wall_s, the parent's
-wall_s quartiles, the change against the parent, the per-layer metrics of
-one traced run a side (seed 1), and each side against the change side of
-the previous BENCH_*.json. perfbench itself is only run, never changed.
+is its median over the pairs. The file also lists every run's value of
+each end-to-end metric and every run's passes, the pairs the change wins on
+wall_s, the parent's wall_s quartiles, the change against the parent, a
+verdict per end-to-end metric (see ``verdict``; any but ``ok`` is also
+printed to stderr), the per-layer metrics of one traced run a side
+(seed 1), and each side against the change side of the previous
+BENCH_*.json. perfbench itself is only run, never changed.
 """
 from __future__ import annotations
 
@@ -78,6 +80,28 @@ def percent(new: float, old: float) -> str:
     return f"{100.0 * (new - old) / old:+.1f} %" if old else "n/a"
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One end-to-end metric's verdict from the runs of both sides.
+
+    ``better`` if every change run beats every parent run; otherwise
+    ``unresolved`` if the parent's quartile spread exceeds ``bound`` times
+    its median; otherwise ``worse`` if the change's median is worse than the
+    parent's by more than ``bound`` of the parent's; otherwise ``ok``.
+    ``better`` names the direction that is better, "lower" or "higher".
+    """
+    if better == "higher":  # negate, so that lower is better below
+        parent, change = [-x for x in parent], [-x for x in change]
+    if max(change) < min(parent):
+        return "better"
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    median = statistics.median(parent)
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    if statistics.median(change) - median > bound * abs(median):
+        return "worse"
+    return "ok"
+
+
 def medians(runs: list[dict]) -> dict:
     return {name: float(f"{statistics.median(r[name] for r in runs):.4g}") for name in runs[0]}
 
@@ -102,7 +126,8 @@ def main() -> int:
     ap.add_argument("--claim", default="none")
     args = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
     prev = previous_bench(args.number)
 
     out = {
@@ -130,16 +155,16 @@ def main() -> int:
                     passes[side].append(n)
                     print(f"{w} seed {seed} {side}: wall_s {runs[side][-1]['wall_s']:.4g}",
                           file=sys.stderr)
-            walls = {side: [r["wall_s"] for r in runs[side]] for side in runs}
-            q1, _, q3 = statistics.quantiles(walls["parent"], n=4)
             entry = {side: medians(runs[side]) for side in runs}
-            entry["wall_s_runs"] = walls
-            # peak RSS grows with the passes a run keeps, so it is listed
-            # beside them run by run
-            entry["passes_runs"] = passes
-            entry["peak_rss_mb_runs"] = {
-                side: [r["peak_rss_mb"] for r in runs[side]] for side in runs
+            entry["runs"] = {
+                name: {side: [r[name] for r in runs[side]] for side in runs}
+                for name in runs["parent"][0]
             }
+            # peak RSS grows with the passes a run keeps, so they are listed
+            # run by run too
+            entry["passes_runs"] = passes
+            walls = entry["runs"]["wall_s"]
+            q1, _, q3 = statistics.quantiles(walls["parent"], n=4)
             entry["wall_s_change_wins"] = sum(
                 c < p for p, c in zip(walls["parent"], walls["change"])
             )
@@ -147,6 +172,14 @@ def main() -> int:
             entry["change_vs_parent"] = {
                 k: percent(entry["change"][k], entry["parent"][k]) for k in entry["parent"]
             }
+            entry["verdicts"] = {
+                m["name"]: verdict(**entry["runs"][m["name"]], better=m["better"],
+                                   bound=m["bound"])
+                for m in bench["end_to_end"]
+            }
+            for name, v in entry["verdicts"].items():
+                if v != "ok":
+                    print(f"{w} {name}: {v}", file=sys.stderr)
             # one traced run a side shows in which layer the time moved
             entry["per_layer_seed_1"] = {
                 side: {k: float(f"{v:.4g}") for k, v in

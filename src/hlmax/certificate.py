@@ -14,9 +14,10 @@ carries an analytic floor whose constants come from the explicit two-sided
 cap-area estimates, so every reported bound is fully numeric.
 
 The decp constructions first check a growth hypothesis on
-h_u(R) = mu(B(0,R)) / mu(B(0,uR)) and pick R1 by a grid, golden-section and
-bisection search; each step of that search evaluates h_u at all of its
-radii in one ``growth_h`` call.
+h_u(R) = mu(B(0,R)) / mu(B(0,uR)), whose limsup part the last radius of a
+grid decides exactly, and pick R1 by a grid, golden-section and bisection
+search; each step of that search evaluates h_u at all of its radii in one
+``growth_h`` call.
 """
 from __future__ import annotations
 
@@ -26,15 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyTestFunctionError,
-    HypothesisViolationError,
-    NonSettlingTailError,
-)
+from .errors import DomainError, EmptyTestFunctionError, HypothesisViolationError
 from .geometry import cap_containment_params, sphere_ball_cap
 from .logspace import LN2, NEG_INF, LogValue, log_sum
 from .radial import (
+    PIECEWISE,
     RadialDensity,
     growth_h,
     log_ball_at_origin,
@@ -143,16 +140,15 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Grid evidence for the growth hypothesis; a semi-decision by nature."""
+    """The growth hypothesis as checked: the largest log h_u the sup search
+    found and where, and the exact limsup, log h_u at the grid's last radius."""
 
     u: float
     sup_required_log: float
     sup_estimate_log: float
     sup_location: float
     tail_required_log: float
-    tail_radii: tuple
-    tail_log_values: tuple
-    note: str = "verified on grid"
+    tail_log_value: float
 
 
 @dataclass(frozen=True)
@@ -261,13 +257,7 @@ def lemma_certificate(
 
 # -- growth-hypothesis machinery ---------------------------------------------
 
-_TAIL_FACTORS = (1e3, 1e4, 1e5, 1e6)
 _GRID_POINTS = 97  # log-spaced over 12 decades
-
-
-def _density_scale(density: RadialDensity) -> float:
-    supp = density.support_radius
-    return supp if math.isfinite(supp) else 1.0
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -334,17 +324,26 @@ def _check_hypothesis_and_pick_r1(
     log_thr_window: float,
     epsilon: float,
 ) -> tuple[HypothesisReport, float]:
-    """Verify sup/limsup growth thresholds on a grid and locate a radius R1
+    """Check the sup and limsup growth thresholds and locate a radius R1
     with h(R1) above (1-eps) of the sup threshold while h at the next two
     shell radii stays below (1+eps) of the window threshold.
 
+    The sup part is a witness search. The limsup part is exact: h_u is
+    constant on [scale/u, inf), as log h_u = 0 once uR passes a bounded
+    support and Lebesgue and power are homogeneous; so the last grid radius
+    decides it and is the only radius beyond the grid worth trying as R1.
+
     Each step of the search is one ``growth_h`` call over an array of radii,
-    so one batched mass computation: the whole grid, the tail samples, each
-    golden-section step (one lockstep lane), each bisection or march step
-    and each window check of both shells."""
+    so one batched mass computation: the whole grid, each golden-section
+    step (one lockstep lane), each bisection step and each window check of
+    both shells."""
     if not (0.0 < epsilon < 0.1):
         raise DomainError(f"epsilon must lie in (0, 1/10), got {epsilon}")
-    scale = _density_scale(density)
+    supp = density.support_radius
+    if density.family == PIECEWISE and math.isinf(supp):
+        # a power-law tail only nears its limit, so no radius decides it
+        raise DomainError("the growth search needs a bounded piecewise density")
+    scale = supp if math.isfinite(supp) else 1.0
     grid = np.geomspace(1e-6 * scale, 1e6 * scale, _GRID_POINTS)
     h_vals = growth_h(density, u, grid)
 
@@ -360,7 +359,7 @@ def _check_hypothesis_and_pick_r1(
     )
     sup_loc, sup_est = math.exp(float(x[0])), float(fx[0])
     if h_vals[i_max] > sup_est:
-        sup_loc, sup_est = grid[i_max], h_vals[i_max]
+        sup_loc, sup_est = float(grid[i_max]), float(h_vals[i_max])
     if sup_est < log_thr_sup - 1e-9:
         raise HypothesisViolationError(
             "sup",
@@ -368,19 +367,12 @@ def _check_hypothesis_and_pick_r1(
             f"exp({log_thr_sup:.6g})",
         )
 
-    # limsup via tail samples, required monotone within tolerance
-    tail_radii = tuple(f * scale for f in _TAIL_FACTORS)
-    tail_vals = tuple(growth_h(density, u, tail_radii).tolist())
-    for a, b in zip(tail_vals[:-1], tail_vals[1:]):
-        if b > a + 1e-9:
-            raise NonSettlingTailError(
-                "tail samples of h_u increase between "
-                f"{tail_radii}; limsup check is inconclusive"
-            )
-    if tail_vals[-1] > log_thr_tail + 1e-9:
+    # limsup: h_u is constant from scale/u on, so the grid end decides it
+    tail_val = float(h_vals[-1])
+    if tail_val > log_thr_tail + 1e-9:
         raise HypothesisViolationError(
             "limsup",
-            f"tail value of h_u is exp({tail_vals[-1]:.6g}) but the hypothesis "
+            f"tail value of h_u is exp({tail_val:.6g}) but the hypothesis "
             f"caps the limsup at exp({log_thr_tail:.6g})",
         )
 
@@ -390,8 +382,7 @@ def _check_hypothesis_and_pick_r1(
         sup_estimate_log=sup_est,
         sup_location=sup_loc,
         tail_required_log=log_thr_tail,
-        tail_radii=tail_radii,
-        tail_log_values=tail_vals,
+        tail_log_value=tail_val,
     )
 
     thr_a = math.log1p(-epsilon) + log_thr_sup
@@ -400,25 +391,23 @@ def _check_hypothesis_and_pick_r1(
     def window_ok(R: float) -> bool:
         return bool(np.all(growth_h(density, u, [R / u, R / (u * u)]) < thr_w))
 
+    no_window = HypothesisViolationError(
+        "window",
+        "no radius satisfies h(R1) >= (1-eps) sup-threshold with "
+        "h(R1/u), h(R1/u^2) < (1+eps) window-threshold",
+    )
+
     in_a = h_vals >= thr_a
-    if in_a[-1]:
-        # the admissible set reaches the end of the grid: march outward
-        R = float(grid[-1])
-        for _ in range(60):
-            h, *shells = growth_h(density, u, [R, R / u, R / (u * u)])
-            if h >= thr_a and all(v < thr_w for v in shells):
-                return report, R
-            R /= u * u
-        raise NonSettlingTailError(
-            "could not find a window radius: h_u stays above threshold "
-            "arbitrarily far out but the shell values never settle"
-        )
+    if in_a[-1]:  # and h_u is constant from the grid end on
+        if window_ok(grid[-1]):
+            return report, float(grid[-1])
+        raise no_window
 
     candidates = [i for i in range(len(grid)) if in_a[i]]
     if not candidates and sup_est >= thr_a:
         # sup refinement found the only admissible spot
         if window_ok(sup_loc):
-            return report, float(sup_loc)
+            return report, sup_loc
     for i in reversed(candidates):
         r_lo, r_hi = float(grid[i]), float(grid[i + 1])
         for _ in range(90):  # bisect the upper boundary of the admissible set
@@ -431,11 +420,7 @@ def _check_hypothesis_and_pick_r1(
                 break  # a fixed point: every later step would repeat this one
         if window_ok(r_lo):
             return report, r_lo
-    raise HypothesisViolationError(
-        "window",
-        "no radius satisfies h(R1) >= (1-eps) sup-threshold with "
-        "h(R1/u), h(R1/u^2) < (1+eps) window-threshold",
-    )
+    raise no_window
 
 
 # -- main construction -------------------------------------------------------
@@ -522,10 +507,10 @@ def decp_certificate(
 ) -> DecpResult:
     """Certificate from the three-piece ball split at u = sqrt(2/3), v = 1/2.
 
-    Requires sup_R h_u(R) >= (64/55)^(d/6) >= limsup h_u(R); both are checked
-    on a refined grid. Returns the exact witness certificate at the located
-    R1 together with the analytic floor, whose sqrt(d) constants come from
-    the explicit cap estimates.
+    Requires sup_R h_u(R) >= (64/55)^(d/6) >= limsup h_u(R), witnessed on a
+    refined grid and decided at its end. Returns the exact witness
+    certificate at the located R1 together with the analytic floor, whose
+    sqrt(d) constants come from the explicit cap estimates.
     """
     return DecpTerms.prepare(density, epsilon).result(p)
 

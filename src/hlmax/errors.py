@@ -35,20 +35,12 @@ class QuadraturePrecisionError(NumericalError):
 
 
 class HypothesisViolationError(RuntimeError):
-    """A growth-hypothesis inequality failed its grid check.
+    """A growth-hypothesis inequality failed its check.
 
-    ``failed`` names the inequality: "sup", "limsup", "window" or
-    "tail-inconclusive".
+    ``failed`` names the inequality: "sup", "limsup" or "window".
     """
 
     def __init__(self, failed: str, message: str):
         super().__init__(message)
         self.failed = failed
 
-
-class NonSettlingTailError(HypothesisViolationError):
-    """Tail samples of the growth ratio did not settle monotonically, so the
-    limsup check is inconclusive."""
-
-    def __init__(self, message: str):
-        super().__init__("tail-inconclusive", message)

@@ -315,7 +315,7 @@ def _mass_panels(density: RadialDensity, hi: float):
 
 def _mass_quad(density: RadialDensity, radii, rel_tol: float) -> np.ndarray:
     """log of integral_0^c f(rho) rho^(d-1) d(rho) by quadrature, for each
-    c in ``radii``.
+    c > 0 in ``radii``.
 
     Each radius is clipped at the support radius, and each distinct clipped
     radius is one job of a ``log_integrate_batch`` call, with at most
@@ -325,7 +325,7 @@ def _mass_quad(density: RadialDensity, radii, rel_tol: float) -> np.ndarray:
     """
     hi = np.minimum(np.asarray(radii, dtype=float), density.support_radius)
     tops, job_of_radius = np.unique(hi, return_inverse=True)
-    masses = np.full(len(tops), NEG_INF)
+    masses = np.empty(len(tops))
     d = density.dim
 
     def logf(x, tags):
@@ -336,18 +336,17 @@ def _mass_quad(density: RadialDensity, radii, rel_tol: float) -> np.ndarray:
         # sigma panels integrate f(e^s) e^(d s) ds; direct ones f(x) x^(d-1) dx
         return density.log_f(rho) + (d - 1) * log_rho + np.where(sigma, x, 0.0)
 
-    live = np.flatnonzero(tops > 0.0)
-    for start in range(0, len(live), _MAX_MASS_JOBS):
-        jobs = live[start:start + _MAX_MASS_JOBS]
+    for start in range(0, len(tops), _MAX_MASS_JOBS):
+        chunk = tops[start:start + _MAX_MASS_JOBS].tolist()
         a, b, tags, job_of = [], [], [], []
-        for k, top in enumerate(tops[jobs].tolist()):
+        for k, top in enumerate(chunk):
             ja, jb, jt = _mass_panels(density, top)
             a += ja
             b += jb
             tags += jt
             job_of += [k] * len(ja)
-        masses[jobs] = log_integrate_batch(
-            logf, a, b, tags, job_of, len(jobs), rel_tol=rel_tol
+        masses[start:start + len(chunk)] = log_integrate_batch(
+            logf, a, b, tags, job_of, len(chunk), rel_tol=rel_tol
         )
     return masses[job_of_radius]
 

@@ -25,7 +25,7 @@ from hlmax.certificate import (
     unit_ball_rate_base,
 )
 from hlmax.errors import DomainError, EmptyTestFunctionError, HypothesisViolationError
-from hlmax.radial import RadialDensity
+from hlmax.radial import RadialDensity, growth_h
 from hlmax.specfun import _log_ball_volume
 
 from oracles import lens_area
@@ -165,10 +165,32 @@ class TestDecp:
             assert rate <= limit
             assert limit - rate <= (2.0 * math.log(4.0) + 1.0) / d
 
-    def test_hypothesis_report_is_grid_labelled(self):
-        res = decp_certificate(RadialDensity.restricted_lebesgue(20), 1.0)
-        assert res.hypothesis.note == "verified on grid"
-        assert len(res.hypothesis.tail_radii) == 4
+    def test_hypothesis_report_carries_exact_limsup(self):
+        # past the support both masses are the full mass: log h_u is exactly 0
+        hyp = decp_certificate(RadialDensity.restricted_lebesgue(20), 1.0).hypothesis
+        assert hyp.tail_log_value == 0.0
+        assert all(
+            type(x) is float
+            for x in (hyp.sup_estimate_log, hyp.sup_location, hyp.tail_log_value)
+        )
+
+    def test_unbounded_piecewise_is_rejected(self):
+        # an r^(-2) tail makes h_u approach u^(-(d-2)) without reaching it,
+        # so no radius decides the limsup
+        dens = RadialDensity.piecewise(10, [(1.0, 1.0), (math.inf, 1.0, 2.0)])
+        with pytest.raises(DomainError):
+            decp_certificate(dens, 1.0)
+        assert math.isfinite(lemma_certificate(dens, 1.0, 0.5, 1.0).log_lower_bound)
+
+    def test_window_failure_at_grid_end(self):
+        # h_u of a power density is constant; place the window threshold
+        # 5e-10 below it (epsilon = 1e-10) and the limsup cap above it
+        dens = RadialDensity.power(30, 0.9)
+        h = growth_h(dens, U_SPLIT, 1.0).log_magnitude
+        t1 = (h - 5e-10) / (-30 * math.log(U_SPLIT))
+        with pytest.raises(HypothesisViolationError) as exc:
+            decp_generalized_certificate(dens, 1.0, 0.05, t1, epsilon=1e-10)
+        assert exc.value.failed == "window"
 
 
 class TestDecpGeneralized:

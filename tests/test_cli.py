@@ -60,7 +60,7 @@ class TestCertify:
         slack = math.log(4.0 + decp_explicit_constant(100) / 10.0)
         assert rec["log_lower_bound"] >= 100 * math.log(1.005) - slack
         assert rec["exact_dominates_floor"]
-        assert rec["hypothesis"]["note"] == "verified on grid"
+        assert rec["hypothesis"]["tail_log_value"] == 0.0
         assert rec["provenance"] == "exact"
         assert rec["floor_provenance"] == "floor"
 
@@ -91,17 +91,23 @@ class TestCertify:
         assert code == 1
         assert "restricted-lebesgue" in err
 
-    def test_hypothesis_violation_exits_two(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "certify",
-            "--family", "lebesgue",
-            "--d", "10",
-            "--p", "1",
-            "--construction", "decp",
-        )
+    @pytest.mark.parametrize(
+        "argv, part",
+        [
+            ("--construction decp --family lebesgue --d 10", "limsup"),
+            ("--construction decp --family power --t 0.95 --d 20", "sup"),
+            (
+                "--construction decp-generalized --family power --t 0.5 --d 40"
+                " --t0 0.1 --t1 0.15",
+                "limsup",
+            ),
+        ],
+        ids=["decp-lebesgue", "decp-power", "generalized-power"],
+    )
+    def test_hypothesis_violation_exits_two(self, capsys, argv, part):
+        code, _, err = run_cli(capsys, "certify", "--p", "1", *argv.split())
         assert code == 2
-        assert "hypothesis" in err
+        assert f"hypothesis violation ({part})" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

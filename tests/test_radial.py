@@ -415,6 +415,33 @@ _BATCH_FAMILIES = (
 )
 
 
+class TestGrowthTail:
+    @pytest.mark.parametrize("d", [2, 12, 100, 1000])
+    def test_h_u_is_constant_past_scale_over_u(self, d):
+        # the decp growth search decides the limsup of h_u at its last grid
+        # radius, 10^6 scale; that is exact while h_u is constant from
+        # scale/u on: log h_u = 0 past a bounded support, and Lebesgue and
+        # power measures are homogeneous
+        import hlmax.radial as radial
+
+        u = math.sqrt(2.0 / 3.0)
+        covered = set()
+        for make in _BATCH_FAMILIES:
+            dens = make(d)
+            covered.add(dens.family)
+            supp = dens.support_radius
+            scale = supp if math.isfinite(supp) else 1.0
+            # the float above scale/u, as u (scale/u) may round below scale
+            start = np.nextafter(scale / u, math.inf)
+            radii = np.array([start, 10.0 * scale, 1e6 * scale, 1e12 * scale])
+            h = growth_h(dens, u, radii)
+            if math.isfinite(supp):
+                assert np.all(h == 0.0), (dens, h)
+            else:
+                assert np.ptp(h) <= 1e-12 * abs(h[0]), (dens, h)
+        assert covered == set(radial.FAMILIES)
+
+
 class TestBatchedMasses:
     @given(
         st.sampled_from(range(len(_BATCH_FAMILIES))),
