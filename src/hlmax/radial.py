@@ -1,28 +1,29 @@
 """Radial measures d(mu) = f(|y|) d(lambda^d) and log-measures of balls.
 
 Densities are nonincreasing on (0, inf), may blow up mildly at 0 and may
-have unbounded support. Origin-centered balls use closed forms whenever the
-family admits one; everything else reduces to a single log-space radial
-integral, with the angular part folded into an exact normalized cap area
-per quadrature node.
+have unbounded support. Every family but log-singularity is a table of
+power-law pieces coef * r^(-k), so the radial mass of an origin-centered
+ball is a closed-form sum over the pieces below its radius. Everything else
+reduces to a single log-space radial integral, with the angular part folded
+into an exact normalized cap area per quadrature node.
 
-Radial masses are computed an array of radii at a time: the radii are
-clipped at the support radius, and each distinct one is one job of a
+Log-singularity masses are computed an array of radii at a time: the radii
+are clipped at the support radius, and each distinct one is one job of a
 batched quadrature call (at most ``_MAX_MASS_JOBS`` a call). ``growth_h``
-takes an array of radii, so a step of the growth-hypothesis search is one
-quadrature call. Jobs of a call are refined independently, so a batched
-mass has the bits of the same mass computed alone.
+takes an array of radii, so a step of the growth-hypothesis search is at
+most one quadrature call. Jobs of a call are refined independently, so a
+batched mass has the bits of the same mass computed alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, UndefinedGrowthError
-from .logspace import NEG_INF, LogValue, log_add
+from .logspace import NEG_INF, LogValue, log_add, log_sum
 from .quadrature import DEFAULT_REL_TOL, log_integrate_batch
 from .specfun import _log_sphere_area, log_cap_fraction
 
@@ -61,13 +62,16 @@ class RadialDensity:
     """A nonincreasing density f on (0, inf) defining a radial measure.
 
     ``t`` parameterizes the power families f(r) = r^(-t*d); ``segments``
-    holds the pieces of a user-defined density.
+    holds the pieces of a user-defined density. ``pieces`` is the density
+    as power laws (end, coef, k, a): coef * r^(-k) on (previous end, end],
+    whose radial mass grows like r^a, a = d - k; log-singularity has none.
     """
 
     family: str
     dim: int
     t: float | None = None
     segments: tuple[Segment, ...] | None = None
+    pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the key-value format and the CLI spell families with hyphens
@@ -92,6 +96,16 @@ class RadialDensity:
             self._validate_segments()
         elif self.segments is not None:
             raise DomainError(f"family {self.family!r} takes no segments")
+        d = self.dim
+        end = 1.0 if family in (RESTRICTED_LEBESGUE, TRUNCATED_POWER) else math.inf
+        pieces = ()  # log-singularity is no power law
+        if family in (LEBESGUE, RESTRICTED_LEBESGUE):
+            pieces = ((end, 1.0, 0.0, d),)
+        elif family in (POWER, TRUNCATED_POWER):
+            pieces = ((end, 1.0, self.t * d, (1.0 - self.t) * d),)
+        elif family == PIECEWISE:
+            pieces = tuple((s.end, s.coef, s.exponent, d - s.exponent) for s in self.segments)
+        object.__setattr__(self, "pieces", pieces)
 
     def _validate_segments(self):
         segs = self.segments
@@ -129,43 +143,31 @@ class RadialDensity:
 
     @property
     def support_radius(self) -> float:
-        if self.family in (RESTRICTED_LEBESGUE, TRUNCATED_POWER, LOG_SINGULARITY):
+        if self.family == LOG_SINGULARITY:
             return 1.0
-        if self.family == PIECEWISE:
-            return self.segments[-1].end
-        return math.inf
+        return self.pieces[-1][0]
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
-        if self.family in (RESTRICTED_LEBESGUE, TRUNCATED_POWER, LOG_SINGULARITY):
+        if self.family == LOG_SINGULARITY:
             return (1.0,)
-        if self.family == PIECEWISE:
-            return tuple(seg.end for seg in self.segments)
-        return ()
-
-    @property
-    def zero_exponent(self) -> float:
-        """Power-law blow-up rate of f at 0 (0 for bounded-at-0 families)."""
-        if self.family in (POWER, TRUNCATED_POWER):
-            return self.t * self.dim
-        if self.family == PIECEWISE:
-            return self.segments[0].exponent
-        return 0.0
+        return tuple(end for end, *_ in self.pieces if end < math.inf)
 
     # -- evaluation --------------------------------------------------------
 
     def log_f(self, r) -> np.ndarray:
         """log f(r), vectorized; -inf outside the support."""
         r = np.asarray(r, dtype=float)
-        if self.family == LEBESGUE:
-            return np.zeros_like(r)
-        if self.family == RESTRICTED_LEBESGUE:
-            return np.where(r <= 1.0, 0.0, -math.inf)
+        if len(self.pieces) == 1:
+            end, coef, k, _ = self.pieces[0]
+            inside = math.log(coef)
+            if k != 0.0:
+                with np.errstate(divide="ignore"):
+                    inside = inside - k * np.log(r)
+            if end == math.inf:
+                return inside if k != 0.0 else np.full_like(r, inside)
+            return np.where(r <= end, inside, -math.inf)
         with np.errstate(divide="ignore"):
-            if self.family == POWER:
-                return -self.t * self.dim * np.log(r)
-            if self.family == TRUNCATED_POWER:
-                return np.where(r <= 1.0, -self.t * self.dim * np.log(r), -math.inf)
             if self.family == LOG_SINGULARITY:
                 out = np.full_like(r, -math.inf)
                 inside = (r > 0) & (r < 1.0)
@@ -173,14 +175,11 @@ class RadialDensity:
                 return out
             out = np.full_like(r, -math.inf)
             prev = 0.0
-            for seg in self.segments:
-                sel = (r > prev) & (r <= seg.end)
-                if sel.any():
-                    if seg.coef == 0.0:
-                        out[sel] = -math.inf
-                    else:
-                        out[sel] = math.log(seg.coef) - seg.exponent * np.log(r[sel])
-                prev = seg.end
+            for end, coef, k, _ in self.pieces:
+                sel = (r > prev) & (r <= end)
+                if coef > 0.0 and sel.any():
+                    out[sel] = math.log(coef) - k * np.log(r[sel])
+                prev = end
             return out
 
     def f(self, r) -> np.ndarray:
@@ -272,56 +271,40 @@ def density_from_kv(text: str) -> RadialDensity:
 # -- radial mass (no sphere-area factor) -----------------------------------
 
 
-_CLOSED_MASS = (LEBESGUE, RESTRICTED_LEBESGUE, POWER, TRUNCATED_POWER)
-
-
 def _mass_closed(density: RadialDensity, c: float) -> float:
-    """The radial mass to c > 0 of a family in ``_CLOSED_MASS``."""
-    d = density.dim
-    if density.family == LEBESGUE:
-        return d * math.log(c) - math.log(d)
-    if density.family == RESTRICTED_LEBESGUE:
-        return d * math.log(min(c, 1.0)) - math.log(d)
-    if density.family == POWER:
-        a = (1.0 - density.t) * d
-        return a * math.log(c) - math.log(a)
-    a = (1.0 - density.t) * d  # truncated power
-    return a * math.log(min(c, 1.0)) - math.log(a)
-
-
-def _mass_panels(density: RadialDensity, hi: float):
-    """Initial panels of the mass integral over (0, hi]: 16 panels in
-    sigma = ln rho up to the first breakpoint (tag 1), then 8 direct panels
-    per breakpoint interval (tag 0)."""
-    rate = density.dim - density.zero_exponent
-    edges = [x for x in density.breakpoints if 0.0 < x < hi] + [hi]
-    first_top = edges[0]
-    # (0, first_top] via rho = e^sigma: integrand becomes log f + d*sigma
-    sig_hi = math.log(first_top)
-    sig_lo = sig_hi - _SIGMA_MARGIN / rate
-    step = (sig_hi - sig_lo) / 16
-    a = [sig_lo + i * step for i in range(16)]
-    b = [sig_lo + (i + 1) * step for i in range(16)]
-    tags = [1] * 16
-    lo = first_top
-    for top in edges[1:]:
-        step = (top - lo) / 8
-        a += [lo + i * step for i in range(8)]
-        b += [lo + (i + 1) * step for i in range(8)]
-        tags += [0] * 8
-        lo = top
-    return a, b, tags
+    """The radial mass to c > 0 of a power-law density: the sum over the
+    pieces below c of coef (hi^a - lo^a) / a, each term in log space."""
+    terms = []
+    lo = 0.0
+    for end, coef, _, a in density.pieces:
+        hi = min(c, end)
+        if coef > 0.0:
+            if lo == 0.0:
+                terms.append(math.log(coef) + a * math.log(hi) - math.log(a))
+            elif a == 0.0:
+                terms.append(math.log(coef) + math.log(math.log(hi / lo)))
+            else:
+                # (hi^a - lo^a)/a = top^a (1 - (bot/top)^a)/|a|, top^a the larger
+                top, bot = (hi, lo) if a > 0.0 else (lo, hi)
+                terms.append(
+                    math.log(coef) + a * math.log(top)
+                    + math.log(-math.expm1(a * math.log(bot / top))) - math.log(abs(a))
+                )
+        if c <= end:
+            break
+        lo = end
+    return log_sum(terms)
 
 
 def _mass_quad(density: RadialDensity, radii, rel_tol: float) -> np.ndarray:
-    """log of integral_0^c f(rho) rho^(d-1) d(rho) by quadrature, for each
-    c > 0 in ``radii``.
+    """log of integral_0^c (-ln rho) rho^(d-1) d(rho), the log-singularity
+    mass, by quadrature for each c > 0 in ``radii``.
 
-    Each radius is clipped at the support radius, and each distinct clipped
-    radius is one job of a ``log_integrate_batch`` call, with at most
-    ``_MAX_MASS_JOBS`` jobs a call. A job's panels and refinement do not
-    depend on the other jobs, so every mass has the bits of a call of its
-    own.
+    Each radius is clipped at the support radius 1, and each distinct
+    clipped radius is one job of a ``log_integrate_batch`` call, with at
+    most ``_MAX_MASS_JOBS`` jobs a call. A job is 16 panels in
+    sigma = ln rho below its radius; its panels and refinement do not depend
+    on the other jobs, so every mass has the bits of a call of its own.
     """
     hi = np.minimum(np.asarray(radii, dtype=float), density.support_radius)
     tops, job_of_radius = np.unique(hi, return_inverse=True)
@@ -329,36 +312,33 @@ def _mass_quad(density: RadialDensity, radii, rel_tol: float) -> np.ndarray:
     d = density.dim
 
     def logf(x, tags):
-        sigma = tags == 1
-        rho = np.where(sigma, np.exp(x), x)
-        with np.errstate(divide="ignore"):
-            log_rho = np.where(sigma, x, np.log(np.abs(x) + 1e-320))
-        # sigma panels integrate f(e^s) e^(d s) ds; direct ones f(x) x^(d-1) dx
-        return density.log_f(rho) + (d - 1) * log_rho + np.where(sigma, x, 0.0)
+        # f(e^s) e^(d s) ds
+        return density.log_f(np.exp(x)) + (d - 1) * x + x
 
     for start in range(0, len(tops), _MAX_MASS_JOBS):
         chunk = tops[start:start + _MAX_MASS_JOBS].tolist()
-        a, b, tags, job_of = [], [], [], []
-        for k, top in enumerate(chunk):
-            ja, jb, jt = _mass_panels(density, top)
-            a += ja
-            b += jb
-            tags += jt
-            job_of += [k] * len(ja)
+        a, b = [], []
+        for top in chunk:
+            sig_hi = math.log(top)
+            sig_lo = sig_hi - _SIGMA_MARGIN / d
+            step = (sig_hi - sig_lo) / 16
+            a += [sig_lo + i * step for i in range(16)]
+            b += [sig_lo + (i + 1) * step for i in range(16)]
+        job_of = np.repeat(np.arange(len(chunk)), 16)
         masses[start:start + len(chunk)] = log_integrate_batch(
-            logf, a, b, tags, job_of, len(chunk), rel_tol=rel_tol
+            logf, a, b, job_of, job_of, len(chunk), rel_tol=rel_tol
         )
     return masses[job_of_radius]
 
 
 def _log_radial_mass(density: RadialDensity, radii, rel_tol: float) -> np.ndarray:
     """log of integral_0^c f(rho) rho^(d-1) d(rho) for each c in ``radii``
-    (-inf for c <= 0): closed forms where the family has one, otherwise
-    one batched quadrature."""
+    (-inf for c <= 0): the closed form of the power-law pieces, or for
+    log-singularity one batched quadrature."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     out = np.full(len(radii), NEG_INF)
     pos = radii > 0.0
-    if density.family in _CLOSED_MASS:
+    if density.pieces:
         out[pos] = [_mass_closed(density, c) for c in radii[pos].tolist()]
     elif pos.any():
         out[pos] = _mass_quad(density, radii[pos], rel_tol)

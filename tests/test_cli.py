@@ -109,6 +109,23 @@ class TestCertify:
         assert code == 2
         assert f"hypothesis violation ({part})" in err
 
+    def test_unbounded_piecewise_lemma_keeps_stderr_empty(self):
+        # a numpy warning reaches stderr only outside pytest's warning
+        # capture, so the CLI runs in a process of its own
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hlmax.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = (
+            "certify --family piecewise --segments 1:1,inf:1:3 --d 10 --p 1"
+            " --construction lemma --v 0.5 --R 1000"
+        ).split()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hlmax.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert math.isfinite(json.loads(proc.stdout)["log_lower_bound"])
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -45,6 +45,8 @@ CLI_CASES = (
     "oracle --family lebesgue --d 3 --samples 2",
     "certify --construction lebesgue-ball --d 10000 --p 1",
     "oracle --family lebesgue --d 8 --samples 2",
+    "certify --family piecewise --segments 1:1,inf:1:13 --d 10 --p 1 --construction lemma"
+    " --v 0.5 --R 3",
 )
 
 PY_CASES = {

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hlmax.radial as radial
 from hlmax.errors import DomainError, QuadraturePrecisionError
 from hlmax.radial import (
     RadialDensity,
@@ -372,36 +373,23 @@ class TestPanelSetup:
 
 
 def _scalar_mass_quad(density, c, rel_tol):
-    """Reference: the radial mass to c as one job of a call of its own, with
-    the panels the one-radius code has always built."""
+    """Reference: the log-singularity mass to c as one job of a call of its
+    own, with the 16 sigma = ln rho panels the one-radius code has always
+    built."""
     from hlmax.quadrature import log_integrate_batch
 
     hi = min(c, density.support_radius)
     d = density.dim
-    rate = d - density.zero_exponent
-    edges = [x for x in density.breakpoints if 0.0 < x < hi] + [hi]
 
     def logf(x, tags):
-        sigma = tags == 1
-        rho = np.where(sigma, np.exp(x), x)
-        with np.errstate(divide="ignore"):
-            log_rho = np.where(sigma, x, np.log(np.abs(x) + 1e-320))
-        return density.log_f(rho) + (d - 1) * log_rho + np.where(sigma, x, 0.0)
+        return density.log_f(np.exp(x)) + (d - 1) * x + x
 
-    sig_hi = math.log(edges[0])
-    sig_lo = sig_hi - 80.0 / rate
+    sig_hi = math.log(hi)
+    sig_lo = sig_hi - 80.0 / d
     step = (sig_hi - sig_lo) / 16
     a = [sig_lo + i * step for i in range(16)]
     b = [sig_lo + (i + 1) * step for i in range(16)]
-    tags = [1] * 16
-    lo = edges[0]
-    for top in edges[1:]:
-        step = (top - lo) / 8
-        a += [lo + i * step for i in range(8)]
-        b += [lo + (i + 1) * step for i in range(8)]
-        tags += [0] * 8
-        lo = top
-    return float(log_integrate_batch(logf, a, b, tags, [0] * len(a), 1, rel_tol)[0])
+    return float(log_integrate_batch(logf, a, b, [0] * 16, [0] * 16, 1, rel_tol)[0])
 
 
 _BATCH_FAMILIES = (
@@ -459,10 +447,10 @@ class TestBatchedMasses:
         scale = supp if math.isfinite(supp) else 1.0
         radii = [scale * 10.0 ** x for x in log_factors] + [scale, 3.0 * scale, scale]
         masses = _log_radial_mass(dens, radii, 1e-10)
-        if dens.family in radial._CLOSED_MASS:
-            want = [radial._mass_closed(dens, c) for c in radii]
-        else:
+        if dens.family == radial.LOG_SINGULARITY:
             want = [_scalar_mass_quad(dens, c, 1e-10) for c in radii]
+        else:
+            want = [radial._mass_closed(dens, c) for c in radii]
         assert np.array_equal(masses.view(np.uint64), np.array(want).view(np.uint64))
 
         u = 0.8
@@ -493,6 +481,105 @@ class TestBatchedMasses:
     def test_growth_h_rejects_a_nonpositive_radius(self):
         with pytest.raises(DomainError):
             growth_h(RadialDensity.log_singularity(5), 0.5, np.array([1.0, 0.0]))
+
+
+def _parent_log_f(dens, r):
+    """The per-family log f formulas the power-law table replaced."""
+    r = np.asarray(r, dtype=float)
+    if dens.family == "lebesgue":
+        return np.zeros_like(r)
+    if dens.family == "restricted_lebesgue":
+        return np.where(r <= 1.0, 0.0, -math.inf)
+    with np.errstate(divide="ignore"):
+        if dens.family == "power":
+            return -dens.t * dens.dim * np.log(r)
+        return np.where(r <= 1.0, -dens.t * dens.dim * np.log(r), -math.inf)
+
+
+def _parent_mass_closed(dens, c):
+    """The per-family closed masses the power-law table replaced."""
+    d = dens.dim
+    if dens.family == "lebesgue":
+        return d * math.log(c) - math.log(d)
+    if dens.family == "restricted_lebesgue":
+        return d * math.log(min(c, 1.0)) - math.log(d)
+    a = (1.0 - dens.t) * d
+    if dens.family == "power":
+        return a * math.log(c) - math.log(a)
+    return a * math.log(min(c, 1.0)) - math.log(a)
+
+
+def _mp_log_mass(dens, c):
+    """log of integral_0^c f(rho) rho^(d-1) d(rho) with 40-digit mpmath, from
+    each segment's antiderivative coef (hi^a - lo^a)/a, a = d - exponent."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        segs = dens.segments or [
+            (dens.support_radius, 1.0, mpmath.mpf(dens.t or 0.0) * dens.dim)
+        ]
+        c, total, lo = mpmath.mpf(c), mpmath.mpf(0), mpmath.mpf(0)
+        for end, coef, exponent in segs:
+            hi = min(c, mpmath.mpf(end))
+            if hi <= lo:
+                break
+            a = dens.dim - mpmath.mpf(exponent)
+            part = mpmath.log(hi / lo) if a == 0 else (hi**a - lo**a) / a
+            total += mpmath.mpf(coef) * part
+            lo = mpmath.mpf(end)
+        return float(mpmath.log(total))
+
+
+class TestPowerLawTable:
+    # the first four families of _BATCH_FAMILIES are one power-law piece each
+    PARENT_STRUCTURE = {
+        "lebesgue": (math.inf, ()),
+        "restricted_lebesgue": (1.0, (1.0,)),
+        "power": (math.inf, ()),
+        "truncated_power": (1.0, (1.0,)),
+    }
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 100, 1000, 10_000])
+    def test_single_pieces_keep_the_per_family_bits(self, d):
+        for make in _BATCH_FAMILIES[:4]:
+            dens = make(d)
+            assert (dens.support_radius, dens.breakpoints) == self.PARENT_STRUCTURE[dens.family]
+            r = np.array([0.0, 1e-300, 1e-9, 0.3, 0.999, 1.0, 1.0000001, 2.0, 1e200, math.inf])
+            # the sign of a zero log f is not compared: log f(1) of the
+            # power families was -0.0 and is now 0.0, which no sum or exp sees
+            got, want = dens.log_f(r) + 0.0, _parent_log_f(dens, r) + 0.0
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), dens
+            radii = [1e-300, 1e-9, 0.3, 0.999, 1.0, 1.0000001, 2.0, 1e5, 1e200]
+            got = [radial._mass_closed(dens, c) for c in radii]
+            want = [_parent_mass_closed(dens, c) for c in radii]
+            assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 40, 300, 10_000])
+    def test_closed_masses_match_mpmath(self, d):
+        densities = [dens for dens in (make(d) for make in _BATCH_FAMILIES) if dens.pieces] + [
+            # exponents below d (a > 0) on three finite pieces
+            RadialDensity.piecewise(d, [(0.5, 2.0), (1.0, 1.0, 0.5), (4.0, 0.25, 1.5)]),
+            # an exponent equal to d (a = 0), continuous at 1.01
+            RadialDensity.piecewise(d, [(1.01, 1.0), (2.0, 1.01**d, float(d))]),
+            # an unbounded last piece with an exponent above d (a < 0)
+            RadialDensity.piecewise(d, [(1.0, 1.0), (math.inf, 1.0, d + 2.0)]),
+        ]
+        if d == 3:
+            densities.append(RadialDensity.piecewise(3, [(1.0, 1.0), (math.inf, 1.0, 5.0)]))
+        for dens in densities:
+            ends = dens.breakpoints
+            # below the first end, on each breakpoint, between breakpoints
+            # and past the support
+            radii = [0.3 * min(ends + (1.0,))] + list(ends)
+            radii += [math.sqrt(x * y) for x, y in zip(ends[:-1], ends[1:])]
+            radii += [1.7 * max(ends + (1.0,)), 1e3]
+            # relative in the log; where the log is near 0 (mass near 1) the
+            # absolute bound is the relative error of the mass itself
+            for c in radii:
+                want = _mp_log_mass(dens, c)
+                assert radial._mass_closed(dens, c) == pytest.approx(
+                    want, rel=1e-14, abs=1e-14
+                ), (dens, c)
 
 
 class TestBatchedQuadrature:
