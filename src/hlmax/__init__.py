@@ -21,14 +21,8 @@ from .certificate import (
     conjugate_exponent,
     critical_p,
     decp_analytic_floor,
-    decp_certificate,
     decp_explicit_constant,
-    decp_generalized_certificate,
-    doubling_certificate,
-    lebesgue_ball_certificate,
     lemma_certificate,
-    optimize_v,
-    unit_ball_rate_base,
 )
 from .errors import (
     DegenerateCapError,
@@ -44,7 +38,6 @@ from .logspace import LogValue, ONE, ZERO
 from .oracle import (
     OracleReport,
     empirical_weak_ratio,
-    halfspace_masses,
     maximal_at_point,
     run_oracle,
     verify_level_set,
@@ -104,18 +97,13 @@ __all__ = [
     "conjugate_exponent",
     "critical_p",
     "decp_analytic_floor",
-    "decp_certificate",
     "decp_explicit_constant",
-    "decp_generalized_certificate",
     "density_from_kv",
     "doubling_cap_x2",
-    "doubling_certificate",
     "empirical_weak_ratio",
     "gamma_ratio_bounds_hold",
     "growth_h",
-    "halfspace_masses",
     "intersect_origin_ball",
-    "lebesgue_ball_certificate",
     "lemma_certificate",
     "log_ball_at_origin",
     "log_ball_offcenter",
@@ -124,9 +112,7 @@ __all__ = [
     "log_gamma",
     "log_sphere_area",
     "maximal_at_point",
-    "optimize_v",
     "run_oracle",
     "sphere_ball_cap",
-    "unit_ball_rate_base",
     "verify_level_set",
 ]

@@ -8,10 +8,13 @@ That yields
 
     c >= mu(B(0,vR))^(1/q) mu(B(0,R))^(1/p) / (2 mu(B(R e1, H))).
 
-Construction-specific builders pick (v, R) so the denominator is
-exponentially small against the numerator in the dimension d; each one also
-carries an analytic floor whose constants come from the explicit two-sided
-cap-area estimates, so every reported bound is fully numeric.
+Each construction picks (v, R) so the denominator is exponentially small
+against the numerator in the dimension d. Its ``*Terms`` class computes the
+p-independent measures once through ``prepare(...)`` and assembles the
+result at each p through ``result(p)`` (``WitnessTerms.certificate(p)`` for
+the plain witness). Each result also carries an analytic floor whose
+constants come from the explicit two-sided cap-area estimates, so every
+reported bound is fully numeric.
 
 The decp constructions first check a growth hypothesis on
 h_u(R) = mu(B(0,R)) / mu(B(0,uR)), whose limsup part the last radius of a
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyTestFunctionError, HypothesisViolationError
 from .geometry import cap_containment_params, sphere_ball_cap
-from .logspace import LN2, NEG_INF, LogValue, log_sum
+from .logspace import LN2, LogValue, log_sum
 from .radial import (
     PIECEWISE,
     RadialDensity,
@@ -49,8 +52,8 @@ _MID_CAP = sphere_ball_cap(U_SPLIT, 1.0, math.sqrt(5.0) / 2.0)
 
 
 def conjugate_exponent(p: float) -> float:
-    if p < 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"p must lie in [1, inf), got {p}")
     return math.inf if p == 1.0 else p / (p - 1.0)
 
 
@@ -157,8 +160,8 @@ class DecpResult:
     floor_log: float
     epsilon: float
     r1: float
-    hypothesis: HypothesisReport
     degenerate_rate: bool
+    hypothesis: HypothesisReport
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,8 @@ class GeneralizedDecpResult:
     p0: float
     b: float
     beta_log: float
-    hypothesis: HypothesisReport
     degenerate_rate: bool
+    hypothesis: HypothesisReport
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,8 @@ class WitnessTerms:
     def prepare(cls, density: RadialDensity, v: float, R: float) -> "WitnessTerms":
         if not (0.0 < v <= 1.0):
             raise DomainError(f"v must lie in (0, 1], got {v}")
-        if R <= 0.0:
-            raise DomainError(f"R must be positive, got {R}")
+        if not 0.0 < R < math.inf:
+            raise DomainError(f"R must lie in (0, inf), got {R}")
         H = R * math.sqrt(1.0 + v * v)
         inner = log_ball_at_origin(density, v * R)
         if inner.is_zero:
@@ -251,7 +254,7 @@ def lemma_certificate(
     At p = 1 the conjugate weight 1/q vanishes and the bound collapses to
     mu(B(0,R)) / (2 mu(B(R e1, H))).
     """
-    conjugate_exponent(p)  # reject p < 1 before any quadrature
+    conjugate_exponent(p)  # reject p outside [1, inf) before any quadrature
     return WitnessTerms.prepare(density, v, R).certificate(p)
 
 
@@ -263,39 +266,28 @@ _GRID_POINTS = 97  # log-spaced over 12 decades
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(f, a, b, iters, tol: float = 0.0):
-    """Golden-section search for a maximum of f on [a, b].
+def golden_section_max(f, a, b, iters):
+    """Golden-section searches for maxima of f on the brackets [a[i], b[i]],
+    run in lockstep, each for its own number of steps ``iters[i]``.
 
-    Stops after ``iters`` steps or once the bracket is narrower than
-    ``tol``; returns (x, f(x)) for the better of the two final probes. A
-    log-spaced search passes the transformed variable, e.g.
-    ``lambda x: g(math.exp(x))`` over [log lo, log hi].
-
-    With sequences ``a`` and ``b`` the brackets are searched in lockstep,
-    each for its own number of steps when ``iters`` is a sequence too. Then
     ``f(x, lanes)`` gets a list with one probe for each bracket still
     searching and the list of their indices, and returns their values, so
-    one call serves a whole step; x and f(x) come back as arrays. The first
-    call carries both first probes of every bracket, so a lane index appears
-    twice in it.
+    one call serves a whole step. The first call carries both first probes
+    of every bracket, so a lane index appears twice in it. Returns arrays of
+    x and f(x), for each bracket the better of its two final probes. A
+    log-spaced search passes the transformed variable, e.g. probes
+    ``math.exp(t)`` for t over [log lo, log hi].
     """
-    if np.ndim(a) == 0:
-        x, fx = golden_section_max(
-            lambda x, lanes: [f(t) for t in x], [a], [b], [iters], tol
-        )
-        return float(x[0]), float(fx[0])
     a = [float(t) for t in a]
     b = [float(t) for t in b]
-    iters = [int(k) for k in iters] if np.ndim(iters) else [iters] * len(a)
+    iters = [int(k) for k in iters]
     lanes = list(range(len(a)))
     c = [b[i] - _INVPHI * (b[i] - a[i]) for i in lanes]
     d = [a[i] + _INVPHI * (b[i] - a[i]) for i in lanes]
     first = list(f(c + d, lanes + lanes))
     fc, fd = first[:len(lanes)], first[len(lanes):]
     for step in range(max(iters, default=0)):
-        live = [i for i in lanes if step < iters[i] and not b[i] - a[i] < tol]
-        if not live:
-            break
+        live = [i for i in lanes if step < iters[i]]
         up = [fc[i] > fd[i] for i in live]
         probes = []
         for i, left in zip(live, up):
@@ -471,7 +463,13 @@ def decp_explicit_constant(d: int) -> float:
 @dataclass(frozen=True)
 class DecpTerms:
     """What a decp certificate shares across p: growth evidence, R1 and the
-    witness terms at (1/2, R1)."""
+    witness terms at (1/2, R1).
+
+    The three-piece ball split at u = sqrt(2/3), v = 1/2 requires
+    sup_R h_u(R) >= (64/55)^(d/6) >= limsup h_u(R), witnessed on a refined
+    grid and decided at its end. The analytic floor's sqrt(d) constants
+    come from the explicit cap estimates.
+    """
 
     witness: WitnessTerms
     epsilon: float
@@ -498,27 +496,26 @@ class DecpTerms:
                 stacklevel=2,
             )
         return DecpResult(
-            cert, floor, self.epsilon, self.witness.R, self.hypothesis, degenerate
+            cert, floor, self.epsilon, self.witness.R, degenerate, self.hypothesis
         )
 
 
-def decp_certificate(
-    density: RadialDensity, p: float, epsilon: float = 0.01
-) -> DecpResult:
-    """Certificate from the three-piece ball split at u = sqrt(2/3), v = 1/2.
-
-    Requires sup_R h_u(R) >= (64/55)^(d/6) >= limsup h_u(R), witnessed on a
-    refined grid and decided at its end. Returns the exact witness
-    certificate at the located R1 together with the analytic floor, whose
-    sqrt(d) constants come from the explicit cap estimates.
-    """
+# perfbench/tracer.py ENTRY_POINTS spans this; its deletion waits for ROADMAP 4A
+def decp_certificate(density: RadialDensity, p: float, epsilon: float = 0.01) -> DecpResult:
     return DecpTerms.prepare(density, epsilon).result(p)
 
 
 @dataclass(frozen=True)
 class GeneralizedDecpTerms:
     """What a decp-generalized certificate shares across p: growth evidence,
-    the witness terms at (1/2, R1), the chain decay beta and p0."""
+    the witness terms at (1/2, R1), the chain decay beta and p0.
+
+    The split of decp under sup_R h_u(R) >= u^(-t0 d) and
+    limsup h_u(R) <= u^(-t1 d). beta is the worst of the three pieces,
+    max(u^t0, u^(-2 max(t0,t1)) sin_out, sin_mid); the base is
+    b(p) = 2^(1/p) / (2 beta) and p0 solves b(p0) = 1. With t1 below
+    log(64/55)/log(9/4) the outer-shell piece stays below 1, so p0 > 1.
+    """
 
     witness: WitnessTerms
     hypothesis: HypothesisReport
@@ -562,37 +559,20 @@ class GeneralizedDecpTerms:
                 stacklevel=2,
             )
         return GeneralizedDecpResult(
-            cert, self.p0, b, self.beta_log, self.hypothesis, degenerate
+            cert, self.p0, b, self.beta_log, degenerate, self.hypothesis
         )
-
-
-def decp_generalized_certificate(
-    density: RadialDensity,
-    p: float,
-    t0: float,
-    t1: float,
-    epsilon: float = 0.01,
-) -> GeneralizedDecpResult:
-    """Split-ball certificate under decoupled growth thresholds.
-
-    Hypotheses: sup_R h_u(R) >= u^(-t0 d) and limsup h_u(R) <= u^(-t1 d)
-    with u = sqrt(2/3). The per-dimension decay beta of the denominator chain
-    is the worst of the three decomposition pieces,
-
-        beta = max(u^t0, u^(-2 max(t0,t1)) sin_out, sin_mid),
-
-    computed operationally from the same split as the main construction; the
-    largest admissible base is b(p) = 2^(1/p) / (2 beta) and p0 solves
-    b(p0) = 1. With t1 below log(64/55)/log(9/4) the outer-shell piece stays
-    below 1, so p0 > 1 always.
-    """
-    return GeneralizedDecpTerms.prepare(density, t0, t1, epsilon).result(p)
 
 
 @dataclass(frozen=True)
 class DoublingTerms:
     """What a doubling certificate shares across p: the witness terms of
-    f(r) = r^(-t d) at (v, R) = (1/2, 1)."""
+    f(r) = r^(-t d) at (v, R) = (1/2, 1).
+
+    The floor (1/6) (2^(1/p)/c)^((1-t)d) holds once the core ball B(0, c/2)
+    dominates the middle and outer shell pieces. The result reports all
+    three closed-form terms, the dimension d0(c) beyond which the cap
+    constants drop below 1, and b0 = min(6^(1/d0), 2^(1/p0) / c).
+    """
 
     witness: WitnessTerms
 
@@ -635,19 +615,6 @@ class DoublingTerms:
         return DoublingResult(cert, floor, inner, middle, outer, dominance, d0, b0)
 
 
-def doubling_certificate(
-    t: float, d: int, p: float, p0_budget: float, c: float
-) -> DoublingResult:
-    """Certificate for the doubling family f(r) = r^(-t d) at (v, R) = (1/2, 1).
-
-    The floor (1/6) (2^(1/p)/c)^((1-t)d) holds once the core ball B(0, c/2)
-    dominates the middle and outer shell pieces; the result reports all three
-    closed-form terms, the dimension d0(c) beyond which the cap constants
-    drop below 1, and b0 = min(6^(1/d0), 2^(1/p0) / c).
-    """
-    return DoublingTerms.prepare(t, d).result(p, p0_budget, c)
-
-
 def _doubling_d0(s_mid: float) -> int:
     """Smallest dimension with both cap constants at most 1."""
     s = min(s_mid, _OUT_CAP.s)
@@ -662,7 +629,10 @@ def _doubling_d0(s_mid: float) -> int:
 @dataclass(frozen=True)
 class LebesgueBallTerms:
     """What a lebesgue-ball certificate shares across p: the witness terms
-    of the restricted Lebesgue measure at (v, R) = (1/2, 1)."""
+    of the restricted Lebesgue measure at (v, R) = (1/2, 1). The floor is
+
+        (1/2)^(d/q) * vol(B^d) / (2 vol(B^{d-1})) * 3(d+1)/16 * (8/sqrt55)^(d+1).
+    """
 
     witness: WitnessTerms
 
@@ -687,60 +657,9 @@ class LebesgueBallTerms:
         return LebesgueBallResult(cert, floor)
 
 
+# perfbench/tracer.py ENTRY_POINTS spans this; its deletion waits for ROADMAP 4A
 def lebesgue_ball_certificate(d: int, p: float) -> LebesgueBallResult:
-    """Certificate for Lebesgue measure restricted to the unit ball, at
-    (v, R) = (1/2, 1), with its closed-form floor
-
-        (1/2)^(d/q) * vol(B^d) / (2 vol(B^{d-1})) * 3(d+1)/16 * (8/sqrt55)^(d+1).
-    """
     return LebesgueBallTerms.prepare(d).result(p)
-
-
-# -- v optimization ----------------------------------------------------------
-
-
-def unit_ball_rate_base(v, q):
-    """Per-dimension base 2 v^(1/q) / sqrt(3 + 2 v^2 - v^4) of the witness
-    bound for the unit-ball measure; the bound grows exponentially iff this
-    exceeds 1. Vectorized."""
-    v = np.asarray(v, dtype=float)
-    return 2.0 * v ** (1.0 / q) / np.sqrt(3.0 + 2.0 * v * v - v ** 4)
-
-
-_OPTIMIZE_V_GRID = 33  # coarse values of v ahead of the golden-section search
-
-
-def optimize_v(density: RadialDensity, p: float, R: float) -> tuple[float, Certificate]:
-    """Maximize the witness bound over v in (0, 1] by golden-section search.
-
-    A coarse grid first checks unimodality of the log bound; if the sampled
-    sequence is not unimodal the grid argmax is returned instead.
-    """
-    if p <= 1.0:
-        raise DomainError("optimize_v needs p > 1 (finite conjugate exponent)")
-
-    def bound(v: float) -> float:
-        try:
-            return lemma_certificate(density, p, v, R).log_lower_bound
-        except EmptyTestFunctionError:
-            return NEG_INF
-
-    vs = np.linspace(1.0 / _OPTIMIZE_V_GRID, 1.0, _OPTIMIZE_V_GRID)
-    vals = np.array([bound(v) for v in vs])
-    if np.all(vals == NEG_INF):
-        raise EmptyTestFunctionError("every v gives an empty test function")
-    diffs = np.diff(vals)
-    signs = np.sign(diffs[np.abs(diffs) > 1e-12])
-    unimodal = np.count_nonzero(signs[:-1] != signs[1:]) <= 1 if len(signs) > 1 else True
-    i = int(np.argmax(vals))
-    if not unimodal:
-        v_star = float(vs[i])
-        return v_star, lemma_certificate(density, p, v_star, R)
-    lo = float(vs[max(i - 1, 0)])
-    hi = float(vs[min(i + 1, len(vs) - 1)])
-    x, _ = golden_section_max(bound, lo, hi, 40, tol=1e-7)
-    v_star = float(min(x, 1.0))
-    return v_star, lemma_certificate(density, p, v_star, R)
 
 
 # -- universal bounds --------------------------------------------------------

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Callable
 
 from .certificate import (
@@ -119,29 +119,31 @@ class Construction:
     family: str = ""  # the family it always certifies, whatever --family says
 
 
-def _record(res, *names: str, **extra) -> dict:
-    """The certify record of a construction result: its certificate, the
-    analytic floor where it has one, the result fields ``names`` (nested
-    reports as dicts), then ``extra``."""
+def _record(res, **extra) -> dict:
+    """The certify record of a construction result: its certificate, then its
+    other fields in declaration order (``floor_log`` as the four floor
+    fields, nested reports as dicts), then ``extra``."""
     rec = res.certificate.to_record()
-    floor_log = getattr(res, "floor_log", None)
-    if floor_log is not None:
-        rec["floor_log_lower_bound"] = floor_log
-        rec["floor_rate_per_dim"] = floor_log / rec["d"]
-        rec["floor_provenance"] = "floor"
-        rec["exact_dominates_floor"] = rec["log_lower_bound"] >= floor_log - 1e-9
-    for name in names:
-        value = getattr(res, name)
-        rec[name] = asdict(value) if is_dataclass(value) else value
+    for field in fields(res):
+        value = getattr(res, field.name)
+        if field.name == "floor_log":
+            rec["floor_log_lower_bound"] = value
+            rec["floor_rate_per_dim"] = value / rec["d"]
+            rec["floor_provenance"] = "floor"
+            rec["exact_dominates_floor"] = rec["log_lower_bound"] >= value - 1e-9
+        elif field.name != "certificate":
+            rec[field.name] = asdict(value) if is_dataclass(value) else value
     rec.update(extra)
     return rec
 
 
+def _result_record(terms, args, p: float) -> dict:
+    return _record(terms.result(p))
+
+
 def _doubling_record(terms: DoublingTerms, args, p: float) -> dict:
     budget = args.p0_budget if args.p0_budget is not None else p
-    res = terms.result(p, budget, args.c)
-    names = ("inner_term_log", "middle_bound_log", "outer_bound_log", "dominance_ok")
-    return _record(res, *names, "d0", "b0", c=args.c, p0_budget=budget)
+    return _record(terms.result(p, budget, args.c), c=args.c, p0_budget=budget)
 
 
 CONSTRUCTIONS = {
@@ -153,18 +155,14 @@ CONSTRUCTIONS = {
     "decp": Construction(
         ("family",),
         lambda args, d: DecpTerms.prepare(_build_density(args, d), args.epsilon),
-        lambda terms, args, p: _record(
-            terms.result(p), "epsilon", "r1", "degenerate_rate", "hypothesis"
-        ),
+        _result_record,
     ),
     "decp-generalized": Construction(
         ("family", "t0", "t1"),
         lambda args, d: GeneralizedDecpTerms.prepare(
             _build_density(args, d), args.t0, args.t1, args.epsilon
         ),
-        lambda terms, args, p: _record(
-            terms.result(p), "p0", "b", "beta_log", "degenerate_rate", "hypothesis"
-        ),
+        _result_record,
     ),
     "doubling": Construction(
         ("t", "c"),
@@ -175,7 +173,7 @@ CONSTRUCTIONS = {
     "lebesgue-ball": Construction(
         (),
         lambda args, d: LebesgueBallTerms.prepare(d),
-        lambda terms, args, p: _record(terms.result(p)),
+        _result_record,
         family="restricted-lebesgue",
     ),
 }
@@ -205,8 +203,8 @@ def cmd_scan(args) -> int:
     ps = [float(x) for x in args.p_list.split(",") if x.strip()]
     if not ds or not ps:
         raise UsageError("empty d-range or p-list")
-    if any(d < 1 for d in ds) or any(p < 1 for p in ps):
-        raise UsageError("need every d >= 1 and every p >= 1")
+    if any(d < 1 for d in ds) or not all(1 <= p < math.inf for p in ps):
+        raise UsageError("need every d >= 1 and every p in [1, inf)")
     entry = _construction(args)
     family = entry.family or args.family.replace("_", "-")
     params = ""
@@ -422,8 +420,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "d", None) is not None and args.d < 1:
             raise UsageError(f"d must be a positive integer, got {args.d}")
-        if getattr(args, "p", None) is not None and args.p < 1:
-            raise UsageError(f"p must be >= 1, got {args.p}")
+        if getattr(args, "p", None) is not None and not 1 <= args.p < math.inf:
+            raise UsageError(f"p must lie in [1, inf), got {args.p}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -288,31 +288,6 @@ def empirical_weak_ratio(
     return LogValue(log_alpha + (math.log(level) - math.log(inner)) / p)
 
 
-def halfspace_masses(
-    density: RadialDensity,
-    center_radius: float,
-    r: float,
-    n: int = 20000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo masses of B(x0, r) on either side of {x1 = center_radius}.
-
-    Returns (mass with x1 >= center, mass with x1 <= center), both scaled by
-    the same volume factor so only their comparison is meaningful.
-    """
-    d = density.dim
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = r * rng.uniform(0.0, 1.0, n) ** (1.0 / d)
-    pts = dirs * radii[:, None]
-    pts[:, 0] += center_radius
-    weights = density.f(np.linalg.norm(pts, axis=1))
-    hi = float(weights[pts[:, 0] >= center_radius].sum()) / n
-    lo = float(weights[pts[:, 0] <= center_radius].sum()) / n
-    return hi, lo
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Result of one full brute-force check of a certificate configuration."""

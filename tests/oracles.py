@@ -88,6 +88,35 @@ def halfspace_ball_slab_volume(d: int, s: float) -> float:
     return vol_dm1 * val
 
 
+def halfspace_masses(
+    density, center_radius: float, r: float, n: int = 20000, seed: int = 0
+):
+    """Monte Carlo masses of B(x0, r) on either side of {x1 = center_radius}.
+
+    Returns (mass with x1 >= center, mass with x1 <= center), both scaled by
+    the same volume factor so only their comparison is meaningful.
+    """
+    d = density.dim
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = r * rng.uniform(0.0, 1.0, n) ** (1.0 / d)
+    pts = dirs * radii[:, None]
+    pts[:, 0] += center_radius
+    weights = density.f(np.linalg.norm(pts, axis=1))
+    hi = float(weights[pts[:, 0] >= center_radius].sum()) / n
+    lo = float(weights[pts[:, 0] <= center_radius].sum()) / n
+    return hi, lo
+
+
+def unit_ball_rate_base(v, q):
+    """Per-dimension base 2 v^(1/q) / sqrt(3 + 2 v^2 - v^4) of the witness
+    bound for the unit-ball measure; the bound grows exponentially iff this
+    exceeds 1. Vectorized."""
+    v = np.asarray(v, dtype=float)
+    return 2.0 * v ** (1.0 / q) / np.sqrt(3.0 + 2.0 * v * v - v ** 4)
+
+
 def offcenter_mass_quadpack(density, center: float, r: float, rho_lo=None, rho_hi=None):
     """mu(B(center e1, r)) restricted to rho in [rho_lo, rho_hi], via nested
     QUADPACK integrals in linear scale (low dimensions only)."""

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from hlmax.certificate import (
+    DecpTerms,
+    DoublingTerms,
+    LebesgueBallTerms,
     critical_p,
-    decp_certificate,
     decp_explicit_constant,
-    doubling_certificate,
-    lebesgue_ball_certificate,
     lemma_certificate,
-    unit_ball_rate_base,
 )
 from hlmax.oracle import empirical_weak_ratio, verify_level_set
 from hlmax.radial import (
@@ -31,7 +30,7 @@ from hlmax.specfun import (
 )
 from hlmax.specfun import _log_sphere_area
 
-from oracles import lens_area
+from oracles import lens_area, unit_ball_rate_base
 
 
 def _report(num, text):
@@ -104,7 +103,7 @@ def test_criterion_04_growth_bound():
 def test_criterion_05_main_theorem_rate():
     p = 1.03
     for d in (100, 200, 400):
-        res = decp_certificate(RadialDensity.restricted_lebesgue(d), p)
+        res = DecpTerms.prepare(RadialDensity.restricted_lebesgue(d)).result(p)
         threshold = d * math.log(1.005) - math.log(
             4.0 + decp_explicit_constant(d) / math.sqrt(d)
         )
@@ -116,8 +115,9 @@ def test_criterion_06_restricted_lebesgue_floor():
     p_star = critical_p("lebesgue_ball")
     worst_gap = math.inf
     for d in range(2, 301):
+        terms = LebesgueBallTerms.prepare(d)
         for p in (1.0, 1.05, p_star):
-            res = lebesgue_ball_certificate(d, p)
+            res = terms.result(p)
             gap = res.certificate.log_lower_bound - res.floor_log
             worst_gap = min(worst_gap, gap)
             assert gap >= -1e-9
@@ -129,7 +129,7 @@ def test_criterion_06_restricted_lebesgue_floor():
 
 def test_criterion_07_doubling_construction():
     t, d, p, c = 0.95, 100, 2.0, 1.3
-    res = doubling_certificate(t, d, p, p, c)
+    res = DoublingTerms.prepare(t, d).result(p, p, c)
     a = (1.0 - t) * d
     expected_inner = _log_sphere_area(d) + a * math.log(c / 2.0) - math.log(a)
     assert res.inner_term_log == pytest.approx(expected_inner, abs=1e-12)

@@ -8,27 +8,25 @@ import hlmax.certificate as certificate
 from hlmax.certificate import (
     T1_MAX,
     U_SPLIT,
+    DecpTerms,
+    DoublingTerms,
+    GeneralizedDecpTerms,
+    LebesgueBallTerms,
     ScanRow,
     WitnessTerms,
     besicovitch_upper,
     conjugate_exponent,
     critical_p,
     decp_analytic_floor,
-    decp_certificate,
     decp_explicit_constant,
-    decp_generalized_certificate,
-    doubling_certificate,
     golden_section_max,
-    lebesgue_ball_certificate,
     lemma_certificate,
-    optimize_v,
-    unit_ball_rate_base,
 )
-from hlmax.errors import DomainError, EmptyTestFunctionError, HypothesisViolationError
+from hlmax.errors import DomainError, HypothesisViolationError
 from hlmax.radial import RadialDensity, growth_h
 from hlmax.specfun import _log_ball_volume
 
-from oracles import lens_area
+from oracles import lens_area, unit_ball_rate_base
 
 T0_RATE = (6 * math.log(2) - math.log(55)) / (3 * math.log(3) - 3 * math.log(2))
 
@@ -57,7 +55,7 @@ class TestLemmaCertificate:
             - cert.term_denom.log_magnitude
         )
         assert cert.log_lower_bound == pytest.approx(expected, abs=1e-12)
-        floor = lebesgue_ball_certificate(d, p).floor_log
+        floor = LebesgueBallTerms.prepare(d).result(p).floor_log
         assert cert.log_lower_bound >= floor - 1e-9
 
     def test_small_v_approaches_delta_regime(self):
@@ -111,14 +109,14 @@ class TestDecp:
     def test_truncated_power_at_threshold_rate(self):
         # growth is exactly the required threshold for R <= 1
         dens = RadialDensity.truncated_power(40, 1.0 - T0_RATE)
-        res = decp_certificate(dens, 1.0)
+        res = DecpTerms.prepare(dens).result(1.0)
         assert res.hypothesis.sup_estimate_log >= res.hypothesis.sup_required_log - 1e-9
         assert res.certificate.log_lower_bound >= res.floor_log - 1e-9
 
     def test_restricted_lebesgue_rate_bound(self):
         # at p = 1.03 the per-dimension base exceeds 1.005
         d = 200
-        res = decp_certificate(RadialDensity.restricted_lebesgue(d), 1.03)
+        res = DecpTerms.prepare(RadialDensity.restricted_lebesgue(d)).result(1.03)
         slack = math.log(4.0 + decp_explicit_constant(d) / math.sqrt(d))
         assert res.certificate.log_lower_bound >= d * math.log(1.005) - slack
 
@@ -128,31 +126,31 @@ class TestDecp:
             RadialDensity.truncated_power(30, 0.5),
             RadialDensity.log_singularity(12),
         ):
-            res = decp_certificate(dens, 1.0)
+            res = DecpTerms.prepare(dens).result(1.0)
             assert res.certificate.log_lower_bound >= res.floor_log - 1e-9
 
     def test_lebesgue_fails_hypothesis(self):
         # constant density: h stays at u^{-d} forever, limsup check must fail
         with pytest.raises(HypothesisViolationError) as exc:
-            decp_certificate(RadialDensity.lebesgue(10), 1.0)
+            DecpTerms.prepare(RadialDensity.lebesgue(10)).result(1.0)
         assert exc.value.failed == "limsup"
 
     def test_power_wrong_exponent_fails(self):
         # pure power with too little growth: sup check fails
         with pytest.raises(HypothesisViolationError) as exc:
-            decp_certificate(RadialDensity.power(20, 0.95), 1.0)
+            DecpTerms.prepare(RadialDensity.power(20, 0.95)).result(1.0)
         assert exc.value.failed == "sup"
 
     def test_degenerate_rate_warns_but_returns(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = decp_certificate(RadialDensity.restricted_lebesgue(10), 1.5)
+            res = DecpTerms.prepare(RadialDensity.restricted_lebesgue(10)).result(1.5)
         assert res.degenerate_rate
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
     def test_epsilon_domain(self):
         with pytest.raises(DomainError):
-            decp_certificate(RadialDensity.restricted_lebesgue(5), 1.0, epsilon=0.5)
+            DecpTerms.prepare(RadialDensity.restricted_lebesgue(5), epsilon=0.5).result(1.0)
 
     def test_floor_rate_converges_from_below(self):
         # the analytic floor's per-dimension rate approaches ln(2^(1/p) 55^(-1/6))
@@ -167,7 +165,7 @@ class TestDecp:
 
     def test_hypothesis_report_carries_exact_limsup(self):
         # past the support both masses are the full mass: log h_u is exactly 0
-        hyp = decp_certificate(RadialDensity.restricted_lebesgue(20), 1.0).hypothesis
+        hyp = DecpTerms.prepare(RadialDensity.restricted_lebesgue(20)).result(1.0).hypothesis
         assert hyp.tail_log_value == 0.0
         assert all(
             type(x) is float
@@ -179,7 +177,7 @@ class TestDecp:
         # so no radius decides the limsup
         dens = RadialDensity.piecewise(10, [(1.0, 1.0), (math.inf, 1.0, 2.0)])
         with pytest.raises(DomainError):
-            decp_certificate(dens, 1.0)
+            DecpTerms.prepare(dens).result(1.0)
         assert math.isfinite(lemma_certificate(dens, 1.0, 0.5, 1.0).log_lower_bound)
 
     def test_window_failure_at_grid_end(self):
@@ -189,39 +187,39 @@ class TestDecp:
         h = growth_h(dens, U_SPLIT, 1.0).log_magnitude
         t1 = (h - 5e-10) / (-30 * math.log(U_SPLIT))
         with pytest.raises(HypothesisViolationError) as exc:
-            decp_generalized_certificate(dens, 1.0, 0.05, t1, epsilon=1e-10)
+            GeneralizedDecpTerms.prepare(dens, 0.05, t1, epsilon=1e-10).result(1.0)
         assert exc.value.failed == "window"
 
 
 class TestDecpGeneralized:
     def test_reproduces_main_critical_exponent(self):
         dens = RadialDensity.truncated_power(30, 1.0 - T0_RATE)
-        res = decp_generalized_certificate(dens, 1.0, T0_RATE, T0_RATE)
+        res = GeneralizedDecpTerms.prepare(dens, T0_RATE, T0_RATE).result(1.0)
         assert res.p0 == pytest.approx(critical_p("decp"), abs=1e-12)
 
     def test_power_family_between_thresholds(self):
         # f = r^{-td} with t0 <= 1 - t <= t1 passes both checks
         t0, t1 = 0.08, 0.15
         dens = RadialDensity.power(25, 1.0 - 0.12)
-        res = decp_generalized_certificate(dens, 1.0, t0, t1)
+        res = GeneralizedDecpTerms.prepare(dens, t0, t1).result(1.0)
         assert res.b > 1.0
         assert res.p0 > 1.0
 
     def test_boundary_t1_still_exponential_at_p1(self):
         dens = RadialDensity.truncated_power(20, 0.9)
-        res = decp_generalized_certificate(dens, 1.0, 0.05, T1_MAX - 1e-6)
+        res = GeneralizedDecpTerms.prepare(dens, 0.05, T1_MAX - 1e-6).result(1.0)
         assert res.p0 > 1.0
         assert res.b > 1.0
 
     def test_t1_domain(self):
         dens = RadialDensity.truncated_power(10, 0.5)
         with pytest.raises(DomainError):
-            decp_generalized_certificate(dens, 1.0, 0.1, T1_MAX + 0.01)
+            GeneralizedDecpTerms.prepare(dens, 0.1, T1_MAX + 0.01).result(1.0)
 
     def test_hypothesis_failure_propagates(self):
         # limsup of a pure power exceeds the t1 threshold when 1 - t > t1
         with pytest.raises(HypothesisViolationError):
-            decp_generalized_certificate(RadialDensity.power(40, 0.5), 1.0, 0.1, 0.15)
+            GeneralizedDecpTerms.prepare(RadialDensity.power(40, 0.5), 0.1, 0.15).result(1.0)
 
 
 class TestDoubling:
@@ -229,22 +227,22 @@ class TestDoubling:
         from hlmax.specfun import _log_sphere_area
 
         t, d, c = 0.9, 60, 1.4
-        res = doubling_certificate(t, d, 1.0, 1.0, c)
+        res = DoublingTerms.prepare(t, d).result(1.0, 1.0, c)
         a = (1 - t) * d
         expected = _log_sphere_area(d) + a * math.log(c / 2.0) - math.log(a)
         assert res.inner_term_log == pytest.approx(expected, abs=1e-12)
 
     def test_exact_dominates_floor(self):
-        res = doubling_certificate(0.95, 100, 2.0, 2.0, 1.3)
+        res = DoublingTerms.prepare(0.95, 100).result(2.0, 2.0, 1.3)
         assert res.certificate.log_lower_bound >= res.floor_log - 1e-9
-        res = doubling_certificate(0.99, 50, 2.0, 2.0, 1.2)
+        res = DoublingTerms.prepare(0.99, 50).result(2.0, 2.0, 1.2)
         assert res.certificate.log_lower_bound >= res.floor_log - 1e-9
 
     def test_middle_and_outer_vanish_as_t_to_one(self):
         c, d = 1.5, 100
         gaps_mid, gaps_out = [], []
         for t in (0.9, 0.99, 0.999):
-            res = doubling_certificate(t, d, 1.0, 1.0, c)
+            res = DoublingTerms.prepare(t, d).result(1.0, 1.0, c)
             gaps_mid.append(res.middle_bound_log - res.inner_term_log)
             gaps_out.append(res.outer_bound_log - res.inner_term_log)
         assert all(a > b for a, b in zip(gaps_mid, gaps_mid[1:]))
@@ -252,7 +250,7 @@ class TestDoubling:
         assert gaps_mid[-1] < 0 and gaps_out[-1] < 0
 
     def test_b0_exceeds_one(self):
-        res = doubling_certificate(0.95, 100, 2.0, 2.0, 1.3)
+        res = DoublingTerms.prepare(0.95, 100).result(2.0, 2.0, 1.3)
         assert res.b0 > 1.0
         assert res.b0 == pytest.approx(
             min(6.0 ** (1.0 / res.d0), 2.0 ** 0.5 / 1.3), abs=1e-12
@@ -260,7 +258,7 @@ class TestDoubling:
 
     def test_base_must_exceed_one(self):
         with pytest.raises(DomainError):
-            doubling_certificate(0.95, 100, 2.0, 2.0, 1.5)  # c >= 2^(1/2)
+            DoublingTerms.prepare(0.95, 100).result(2.0, 2.0, 1.5)  # c >= 2^(1/2)
 
 
 class TestLebesgueBall:
@@ -271,7 +269,7 @@ class TestLebesgueBall:
 
     def test_planar_exactness(self):
         # at d = 2, p = 1 the certificate is pi / (2 * lens)
-        res = lebesgue_ball_certificate(2, 1.0)
+        res = LebesgueBallTerms.prepare(2).result(1.0)
         lens = lens_area(1.0, math.sqrt(5.0) / 2.0, 1.0)
         assert res.certificate.log_lower_bound == pytest.approx(
             math.log(math.pi / (2.0 * lens)), abs=1e-9
@@ -280,12 +278,12 @@ class TestLebesgueBall:
     def test_exact_dominates_floor_spot(self):
         for d in (2, 10, 50):
             for p in (1.0, 1.05, critical_p("lebesgue_ball")):
-                res = lebesgue_ball_certificate(d, p)
+                res = LebesgueBallTerms.prepare(d).result(p)
                 assert res.certificate.log_lower_bound >= res.floor_log - 1e-9
 
     def test_floor_formula(self):
         d, p = 7, 1.05
-        res = lebesgue_ball_certificate(d, p)
+        res = LebesgueBallTerms.prepare(d).result(p)
         q = conjugate_exponent(p)
         expected = (
             -d / q * math.log(2.0)
@@ -299,10 +297,13 @@ class TestLebesgueBall:
 
     def test_requires_d_at_least_two(self):
         with pytest.raises(DomainError):
-            lebesgue_ball_certificate(1, 1.0)
+            LebesgueBallTerms.prepare(1).result(1.0)
 
 
 class TestOptimizeV:
+    """The unit-ball rate base as a function of v, the quantity a choice of
+    the witness fraction v optimizes."""
+
     def test_proxy_at_critical_conjugate(self):
         q0 = conjugate_exponent(critical_p("lebesgue_ball"))
         assert q0 == pytest.approx(9.1474, abs=1e-3)
@@ -312,24 +313,6 @@ class TestOptimizeV:
         v = np.linspace(0.0, 0.99, 200)
         for q in (1.5, 4.0, 9.0):
             assert np.all(unit_ball_rate_base(v, q) < 1.0)
-
-    def test_optimizer_dominates_fixed_choice(self):
-        dens = RadialDensity.restricted_lebesgue(10)
-        v_star, cert = optimize_v(dens, 1.05, 1.0)
-        fixed = lemma_certificate(dens, 1.05, 0.5, 1.0)
-        assert cert.log_lower_bound >= fixed.log_lower_bound - 1e-9
-        assert 0.0 < v_star <= 1.0
-
-    def test_near_critical_p_prefers_half(self):
-        # at the critical exponent's conjugate (q ~ 9.15) the optimum sits
-        # near v = 1/2; smaller p (larger q) pushes the optimum toward 0
-        dens = RadialDensity.restricted_lebesgue(10)
-        v_star, _ = optimize_v(dens, critical_p("lebesgue_ball"), 1.0)
-        assert 0.3 <= v_star <= 0.7
-
-    def test_needs_p_above_one(self):
-        with pytest.raises(DomainError):
-            optimize_v(RadialDensity.restricted_lebesgue(5), 1.0, 1.0)
 
 
 class TestPreparedTerms:
@@ -348,7 +331,7 @@ class TestPreparedTerms:
             return growth_h(*args, **kwargs)
 
         monkeypatch.setattr(certificate, "growth_h", counted)
-        res = decp_certificate(RadialDensity.restricted_lebesgue(60), 1.0)
+        res = DecpTerms.prepare(RadialDensity.restricted_lebesgue(60)).result(1.0)
         assert calls[0] < 219
         assert res.r1 == 1.194397343722166  # bit-identical to the 90-step value
 
@@ -366,30 +349,22 @@ class TestPreparedTerms:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(radial, "log_integrate_batch", counted)
-        terms = certificate.DecpTerms.prepare(RadialDensity.log_singularity(100))
+        terms = DecpTerms.prepare(RadialDensity.log_singularity(100))
         assert calls[0] <= 100
         assert terms.witness.R == 1.1748885227502617
 
 
 class TestGoldenSection:
     def test_parabola_maximum(self):
-        x, fx = golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 80)
-        assert x == pytest.approx(0.3, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
-
-    def test_tolerance_stops_early(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return -abs(x - 0.7)
-
-        x, _ = golden_section_max(f, 0.0, 1.0, 200, tol=1e-3)
-        assert abs(x - 0.7) < 1e-3
-        assert len(calls) < 30
+        x, fx = golden_section_max(
+            lambda xs, lanes: [-((t - 0.3) ** 2) for t in xs], [0.0], [1.0], [80]
+        )
+        assert x[0] == pytest.approx(0.3, abs=1e-8)
+        assert fx[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_lockstep_brackets_match_scalar_searches(self):
-        # per bracket the same steps as a search of its own, so the same bits;
+        # per bracket the same steps as a one-lane search of its own, so the
+        # same bits;
         # one call of f serves both first probes of every bracket, then one
         # call per step every bracket still searching
         peaks = [0.3, 0.45, 0.8, 0.1]
@@ -404,10 +379,11 @@ class TestGoldenSection:
         assert len(calls) == 1 + max(steps)
         assert calls[0] == 2 * len(peaks)
         for i, peak in enumerate(peaks):
-            want = golden_section_max(
-                lambda t: -((t - peak) ** 2), lo[i], hi[i], steps[i]
+            x, fx = golden_section_max(
+                lambda x, lanes: [-((t - peak) ** 2) for t in x],
+                [lo[i]], [hi[i]], [steps[i]],
             )
-            assert (xs[i], fxs[i]) == want
+            assert (xs[i], fxs[i]) == (x[0], fx[0])
 
 
 class TestUniversal:

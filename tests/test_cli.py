@@ -308,6 +308,40 @@ class TestScanConstructions:
         assert rows[1]["error"].startswith("DomainError: c must lie in")
 
 
+def test_rate_scan_script_matches_scan(capsys):
+    # the script builds its rows through the *Terms classes; each of its
+    # lebesgue-ball and decp bounds must be the bits scan prints
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hlmax.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "rate_scan.py"),
+         "--d-max", "40", "--d-step", "20"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    scans = {
+        "lebesgue_ball": ("--construction", "lebesgue-ball", "--p-list",
+                          f"1,1.05,{critical_p('lebesgue_ball')!r}"),
+        "decp": ("--construction", "decp", "--family", "restricted-lebesgue",
+                 "--p-list", "1,1.03"),
+    }
+    checked = 0
+    for name, flags in scans.items():
+        code, out, _ = run_cli(capsys, "scan", "--d-range", "20:40:20", *flags)
+        assert code == 0
+        want = {}
+        for line in out.strip().splitlines():
+            rec = json.loads(line)
+            want[(str(rec["d"]), f"{rec['p']:.6f}")] = repr(rec["log_lower"])
+        for row in rows:
+            if row["construction"] == name:
+                assert row["log_lower"] == want[(row["d"], row["p"])]
+                checked += 1
+    assert checked == 2 * 3 + 2 * 2
+
+
 class TestNumericalFailure:
     def test_kernel_errors_are_numerical(self):
         assert issubclass(QuadraturePrecisionError, NumericalError)
@@ -456,6 +490,23 @@ class TestRejectedInput:
             ),
             ("caps --d 10 --s-grid 0.1:inf:0.1", "usage error: bad range"),
             ("certify --construction lebesgue-ball --d 5 --p 1 --config", "usage error: --config"),
+            (
+                "certify --construction lebesgue-ball --d 10 --p nan",
+                "usage error: p must lie in [1, inf), got nan",
+            ),
+            (
+                "certify --construction lebesgue-ball --d 10 --p inf",
+                "usage error: p must lie in [1, inf), got inf",
+            ),
+            (
+                "scan --construction lebesgue-ball --d-range 10:10:1 --p-list 1,nan",
+                "usage error: need every d >= 1 and every p in [1, inf)",
+            ),
+            ("certify --family lebesgue --d 3 --p 1 --R inf", "R must lie in (0, inf), got inf"),
+            (
+                "oracle --family lebesgue --d 2 --p nan --samples 2",
+                "usage error: p must lie in [1, inf), got nan",
+            ),
         ],
     )
     def test_exits_one_with_one_line(self, capsys, argv, message):

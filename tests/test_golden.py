@@ -19,7 +19,8 @@ import warnings
 
 import pytest
 
-from hlmax import RadialDensity, decp_certificate, optimize_v
+from hlmax import RadialDensity
+from hlmax.certificate import DecpTerms
 from hlmax.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli.jsonl")
@@ -50,15 +51,12 @@ CLI_CASES = (
 )
 
 PY_CASES = {
-    "optimize_v restricted-lebesgue d=10 p=1.05 R=1": lambda: optimize_v(
-        RadialDensity.restricted_lebesgue(10), 1.05, 1.0
-    ),
-    "decp r1 log-singularity d=40 p=1": lambda: decp_certificate(
-        RadialDensity.log_singularity(40), 1.0
-    ).r1,
-    "decp r1 piecewise d=30 p=1.02": lambda: decp_certificate(
-        RadialDensity.piecewise(30, [(0.5, 2.0), (1.0, 1.0)]), 1.02
-    ).r1,
+    "decp r1 log-singularity d=40 p=1": lambda: DecpTerms.prepare(
+        RadialDensity.log_singularity(40)
+    ).result(1.0).r1,
+    "decp r1 piecewise d=30 p=1.02": lambda: DecpTerms.prepare(
+        RadialDensity.piecewise(30, [(0.5, 2.0), (1.0, 1.0)])
+    ).result(1.02).r1,
 }
 
 

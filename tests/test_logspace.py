@@ -18,11 +18,11 @@ def test_zero_is_additive_identity():
 def test_basic_arithmetic():
     two = LogValue.from_linear(2.0)
     three = LogValue.from_linear(3.0)
-    assert (two * three).to_linear() == pytest.approx(6.0, rel=1e-15)
-    assert (three / two).to_linear() == pytest.approx(1.5, rel=1e-15)
-    assert (two + three).to_linear() == pytest.approx(5.0, rel=1e-15)
-    assert (two ** 10).to_linear() == pytest.approx(1024.0, rel=1e-13)
-    assert (three.minus(two)).to_linear() == pytest.approx(1.0, rel=1e-13)
+    assert (two * three).to_linear() == pytest.approx(6.0, rel=1e-15, abs=0)
+    assert (three / two).to_linear() == pytest.approx(1.5, rel=1e-15, abs=0)
+    assert (two + three).to_linear() == pytest.approx(5.0, rel=1e-15, abs=0)
+    assert (two ** 10).to_linear() == pytest.approx(1024.0, rel=1e-13, abs=0)
+    assert (three.minus(two)).to_linear() == pytest.approx(1.0, rel=1e-13, abs=0)
 
 
 def test_zero_conventions():

@@ -12,7 +12,6 @@ from hlmax.cli import main
 from hlmax.errors import DomainError, QuadraturePrecisionError
 from hlmax.oracle import (
     empirical_weak_ratio,
-    halfspace_masses,
     maximal_at_point,
     maximal_sweep,
     run_oracle,
@@ -21,7 +20,7 @@ from hlmax.oracle import (
 from hlmax.radial import RadialDensity, _offcenter_logs
 from hlmax.specfun import log_cap_fraction
 
-from oracles import lens_area
+from oracles import halfspace_masses
 
 
 class TestMaximalAtPoint:
