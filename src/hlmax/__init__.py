@@ -34,7 +34,6 @@ from .errors import (
     UndefinedGrowthError,
 )
 from .geometry import ConeCapParams, cap_containment_params, doubling_cap_x2, sphere_ball_cap
-from .logspace import LogValue, ONE, ZERO
 from .oracle import (
     OracleReport,
     empirical_weak_ratio,
@@ -77,9 +76,7 @@ __all__ = [
     "HypothesisReport",
     "HypothesisViolationError",
     "LebesgueBallResult",
-    "LogValue",
     "NumericalError",
-    "ONE",
     "OracleReport",
     "QuadraturePrecisionError",
     "RadialDensity",
@@ -89,7 +86,6 @@ __all__ = [
     "U_SPLIT",
     "UndefinedGrowthError",
     "WitnessTerms",
-    "ZERO",
     "besicovitch_upper",
     "cap_area_bounds",
     "cap_area_exact",

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyTestFunctionError, HypothesisViolationError
 from .geometry import cap_containment_params, sphere_ball_cap
-from .logspace import LN2, LogValue, log_sum
+from .logspace import LN2, NEG_INF, log_sum
 from .radial import (
     PIECEWISE,
     RadialDensity,
@@ -40,7 +40,7 @@ from .radial import (
     log_ball_at_origin,
     log_ball_offcenter,
 )
-from .specfun import _log_ball_volume, _log_sphere_area
+from .specfun import log_ball_volume, log_sphere_area
 
 U_SPLIT = math.sqrt(2.0 / 3.0)  # shell ratio that makes the three-piece split work
 T1_MAX = math.log(64.0 / 55.0) / math.log(9.0 / 4.0)
@@ -69,18 +69,20 @@ class Certificate:
     v: float
     R: float
     H: float
-    term_inner: LogValue  # mu(B(0, vR))
-    term_level: LogValue  # mu(B(0, R))
-    term_denom: LogValue  # mu(B(R e1, H))
+    term_inner: float  # log mu(B(0, vR))
+    term_level: float  # log mu(B(0, R))
+    term_denom: float  # log mu(B(R e1, H))
     log_lower_bound: float
     construction: str
 
     def __post_init__(self):
-        if abs(self.H * self.H - self.R * self.R * (1.0 + self.v * self.v)) > 1e-12 * self.H * self.H:
+        # each check reads "not (ok)", so a NaN anywhere fails it
+        h2 = self.H * self.H
+        if not abs(h2 - self.R * self.R * (1.0 + self.v * self.v)) <= 1e-12 * h2:
             raise DomainError("H must equal R sqrt(1 + v^2)")
-        if self.term_inner.log_magnitude > self.term_level.log_magnitude + 1e-9:
+        if not self.term_inner <= self.term_level + 1e-9:
             raise DomainError("inner ball cannot outweigh the level ball")
-        if abs(self.log_lower_bound - self.recompute_log_lower()) > 1e-9:
+        if not abs(self.log_lower_bound - self.recompute_log_lower()) <= 1e-9:
             raise DomainError("stored bound does not match its terms")
 
     def recompute_log_lower(self) -> float:
@@ -89,7 +91,7 @@ class Certificate:
     @property
     def alpha_log(self) -> float:
         """log of the maximal-function level witnessed at R e1."""
-        return self.term_inner.log_magnitude - LN2 - self.term_denom.log_magnitude
+        return self.term_inner - LN2 - self.term_denom
 
     @property
     def rate_per_dim(self) -> float:
@@ -106,9 +108,9 @@ class Certificate:
             "v": self.v,
             "R": self.R,
             "H": self.H,
-            "log_term_inner": self.term_inner.log_magnitude,
-            "log_term_level": self.term_level.log_magnitude,
-            "log_term_denom": self.term_denom.log_magnitude,
+            "log_term_inner": self.term_inner,
+            "log_term_level": self.term_level,
+            "log_term_denom": self.term_denom,
             "alpha_log": self.alpha_log,
             "log_lower_bound": self.log_lower_bound,
             "rate_per_dim": self.rate_per_dim,
@@ -200,13 +202,8 @@ def _weight_q(p: float) -> float:
     return 0.0 if p == 1.0 else 1.0 - 1.0 / p
 
 
-def _witness_log(p: float, inner: LogValue, level: LogValue, denom: LogValue) -> float:
-    return (
-        _weight_q(p) * inner.log_magnitude
-        + level.log_magnitude / p
-        - LN2
-        - denom.log_magnitude
-    )
+def _witness_log(p: float, inner: float, level: float, denom: float) -> float:
+    return _weight_q(p) * inner + level / p - LN2 - denom
 
 
 @dataclass(frozen=True)
@@ -219,9 +216,9 @@ class WitnessTerms:
     v: float
     R: float
     H: float
-    inner: LogValue
-    level: LogValue
-    denom: LogValue
+    inner: float
+    level: float
+    denom: float
 
     @classmethod
     def prepare(cls, density: RadialDensity, v: float, R: float) -> "WitnessTerms":
@@ -231,7 +228,7 @@ class WitnessTerms:
             raise DomainError(f"R must lie in (0, inf), got {R}")
         H = R * math.sqrt(1.0 + v * v)
         inner = log_ball_at_origin(density, v * R)
-        if inner.is_zero:
+        if inner == NEG_INF:
             raise EmptyTestFunctionError(f"mu(B(0, {v * R})) = 0: empty test function")
         level = log_ball_at_origin(density, R)
         denom = log_ball_offcenter(density, R, H)
@@ -581,8 +578,8 @@ class DoublingTerms:
         return cls(WitnessTerms.prepare(RadialDensity.power(d, t), 0.5, 1.0))
 
     def result(self, p: float, p0_budget: float, c: float) -> DoublingResult:
-        if p0_budget < p:
-            raise DomainError(f"p0_budget must be >= p, got {p0_budget} < {p}")
+        if not p <= p0_budget < math.inf:
+            raise DomainError(f"p0_budget must lie in [p, inf) = [{p}, inf), got {p0_budget}")
         limit = 2.0 ** (1.0 / p0_budget)
         if not (1.0 < c < limit):
             raise DomainError(
@@ -592,7 +589,7 @@ class DoublingTerms:
         cert = self.witness.certificate(p, "doubling")
         d, t = cert.density.dim, cert.density.t
         a = (1.0 - t) * d
-        log_sigma = _log_sphere_area(d)
+        log_sigma = log_sphere_area(d)
         inner = log_sigma + a * math.log(c / 2.0) - math.log(a)
         cone = cap_containment_params(c)
         middle = (
@@ -648,9 +645,9 @@ class LebesgueBallTerms:
         d = cert.density.dim
         floor = (
             -d * _weight_q(p) * LN2
-            + _log_ball_volume(d)
+            + log_ball_volume(d)
             - LN2
-            - _log_ball_volume(d - 1)
+            - log_ball_volume(d - 1)
             + math.log(3.0 * (d + 1) / 16.0)
             + (d + 1) * math.log(8.0 / math.sqrt(55.0))
         )

@@ -284,10 +284,9 @@ def cmd_caps(args) -> int:
         if not (0.0 <= s < 1.0):
             raise UsageError(f"s must lie in [0, 1), got {s}")
         cap = CapSpec.from_cos(args.d, s)
-        exact = cap_area_exact(cap).log_magnitude
+        exact = cap_area_exact(cap)
         if s > 0.0:
             lo, hi = cap_area_bounds(cap)
-            lo, hi = lo.log_magnitude, hi.log_magnitude
             ok = lo - 1e-10 <= exact <= hi + 1e-10
         else:
             lo = hi = None

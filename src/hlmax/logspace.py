@@ -1,13 +1,12 @@
-"""Log-domain arithmetic for nonnegative extended reals.
+"""Log-domain sums for nonnegative extended reals.
 
-Every measure magnitude in this package is carried as its natural log, so
-products of exponentially small ball measures at dimension 10^4 never leave
-floating-point range. ``-inf`` encodes zero.
+Every measure magnitude in this package is carried as its natural log, a
+plain float, so products of exponentially small ball measures at dimension
+10^4 never leave floating-point range. ``-inf`` encodes zero.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 NEG_INF = float("-inf")
 LN2 = math.log(2.0)
@@ -24,77 +23,8 @@ def log_add(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def log_sub(a: float, b: float) -> float:
-    """log(e^a - e^b); requires a >= b."""
-    if b == NEG_INF:
-        return a
-    if b > a:
-        raise ValueError(f"log_sub would produce a negative value: {a} < {b}")
-    diff = b - a
-    if diff == 0.0 or math.exp(diff) == 1.0:
-        return NEG_INF
-    return a + math.log1p(-math.exp(diff))
-
-
 def log_sum(values) -> float:
     out = NEG_INF
     for v in values:
         out = log_add(out, v)
     return out
-
-
-@dataclass(frozen=True, order=True)
-class LogValue:
-    """A value in [0, inf) stored as its natural logarithm."""
-
-    log_magnitude: float
-
-    @classmethod
-    def from_linear(cls, x: float) -> "LogValue":
-        if x < 0:
-            raise ValueError(f"LogValue represents nonnegative reals, got {x}")
-        return cls(NEG_INF if x == 0.0 else math.log(x))
-
-    def to_linear(self) -> float:
-        """exp of the stored log; may underflow to 0.0 or overflow to inf."""
-        try:
-            return math.exp(self.log_magnitude)
-        except OverflowError:
-            return math.inf
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_magnitude == NEG_INF
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        return LogValue(log_add(self.log_magnitude, other.log_magnitude))
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        a, b = self.log_magnitude, other.log_magnitude
-        if a == NEG_INF or b == NEG_INF:
-            return ZERO
-        return LogValue(a + b)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogValue zero")
-        if self.is_zero:
-            return ZERO
-        return LogValue(self.log_magnitude - other.log_magnitude)
-
-    def __pow__(self, k: float) -> "LogValue":
-        if k == 0.0:
-            return ONE
-        if self.is_zero:
-            if k < 0:
-                raise ZeroDivisionError("negative power of LogValue zero")
-            return ZERO
-        return LogValue(k * self.log_magnitude)
-
-    def minus(self, other: "LogValue") -> "LogValue":
-        """Log-space subtraction; requires self >= other."""
-        return LogValue(log_sub(self.log_magnitude, other.log_magnitude))
-
-
-ZERO = LogValue(NEG_INF)
-ONE = LogValue(0.0)

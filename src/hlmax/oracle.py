@@ -31,7 +31,7 @@ import numpy as np
 
 from .certificate import golden_section_max, lemma_certificate
 from .errors import DomainError
-from .logspace import LN2, NEG_INF, LogValue
+from .logspace import LN2, NEG_INF
 from .radial import RadialDensity, _offcenter_logs
 
 MAX_ORACLE_DIM = 10
@@ -151,10 +151,10 @@ def maximal_at_point(
     eval_radius: float,
     grid: int = DEFAULT_GRID,
     refine: int = DEFAULT_REFINE,
-) -> LogValue:
+) -> float:
     """Grid lower estimate of M_mu chi_{B(0,vR)} at a point of given norm:
     the one-point case of ``maximal_sweep``."""
-    return LogValue(float(maximal_sweep(density, v, R, [eval_radius], refine, grid)[0]))
+    return float(maximal_sweep(density, v, R, [eval_radius], refine, grid)[0])
 
 
 def _level_set_radii(density: RadialDensity, R: float, samples: int, seed: int):
@@ -263,9 +263,9 @@ def _mass_offcenter_quad(density: RadialDensity, center: float, r: float) -> flo
 
 def empirical_weak_ratio(
     density: RadialDensity, p: float, v: float, R: float
-) -> LogValue:
-    """Weak-type ratio alpha mu(B(0,R))^(1/p) / |chi|_p for the certificate's
-    own test function, recomputed with QUADPACK in linear scale.
+) -> float:
+    """Log of the weak-type ratio alpha mu(B(0,R))^(1/p) / |chi|_p for the
+    certificate's own test function, recomputed with QUADPACK in linear scale.
 
     Numerically this equals the certificate bound; it serves as an
     independent code path sharing no intermediate values with the log-space
@@ -285,7 +285,7 @@ def empirical_weak_ratio(
     if inner == 0.0 or denom == 0.0:
         raise DomainError("degenerate configuration: zero mass term")
     log_alpha = math.log(inner) - LN2 - math.log(denom)
-    return LogValue(log_alpha + (math.log(level) - math.log(inner)) / p)
+    return log_alpha + (math.log(level) - math.log(inner)) / p
 
 
 @dataclass(frozen=True)
@@ -298,11 +298,11 @@ class OracleReport:
     v: float
     R: float
     point_radius: float
-    alpha: LogValue
-    max_value: LogValue
+    alpha_log: float
+    max_value_log: float
     level_set_ok: bool | None
     worst_margin: float | None
-    empirical_weak_ratio: LogValue | None
+    empirical_weak_ratio_log: float | None
     lemma_log_lower: float
     dual_path_gap: float | None
     radius_grid_size: int
@@ -310,7 +310,7 @@ class OracleReport:
     samples: int
 
     def sound(self) -> bool:
-        if self.max_value.log_magnitude < self.alpha.log_magnitude - LEVEL_SET_SLACK:
+        if self.max_value_log < self.alpha_log - LEVEL_SET_SLACK:
             return False
         if self.level_set_ok is False:
             return False
@@ -326,15 +326,11 @@ class OracleReport:
             "v": self.v,
             "R": self.R,
             "point_radius": self.point_radius,
-            "alpha_log": self.alpha.log_magnitude,
-            "max_value_log": self.max_value.log_magnitude,
+            "alpha_log": self.alpha_log,
+            "max_value_log": self.max_value_log,
             "level_set_ok": self.level_set_ok,
             "worst_margin": self.worst_margin,
-            "empirical_weak_ratio_log": (
-                None
-                if self.empirical_weak_ratio is None
-                else self.empirical_weak_ratio.log_magnitude
-            ),
+            "empirical_weak_ratio_log": self.empirical_weak_ratio_log,
             "lemma_log_lower": self.lemma_log_lower,
             "dual_path_gap": self.dual_path_gap,
             "radius_grid_size": self.radius_grid_size,
@@ -369,7 +365,7 @@ def run_oracle(
         worst = float(np.min(vals[1:] - cert.alpha_log))
         ok = worst >= -LEVEL_SET_SLACK
         ratio = empirical_weak_ratio(density, p, v, R)
-        gap = ratio.log_magnitude - cert.log_lower_bound
+        gap = ratio - cert.log_lower_bound
     return OracleReport(
         d=density.dim,
         density_kv=density.to_kv().replace("\n", "; ").strip("; "),
@@ -377,11 +373,11 @@ def run_oracle(
         v=v,
         R=R,
         point_radius=R,
-        alpha=LogValue(cert.alpha_log),
-        max_value=LogValue(float(vals[0])),
+        alpha_log=cert.alpha_log,
+        max_value_log=float(vals[0]),
         level_set_ok=ok,
         worst_margin=worst,
-        empirical_weak_ratio=ratio,
+        empirical_weak_ratio_log=ratio,
         lemma_log_lower=cert.log_lower_bound,
         dual_path_gap=gap,
         radius_grid_size=grid,

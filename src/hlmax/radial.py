@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UndefinedGrowthError
-from .logspace import NEG_INF, LogValue, log_add, log_sum
+from .logspace import NEG_INF, log_add, log_sum
 from .quadrature import DEFAULT_REL_TOL, log_integrate_batch
-from .specfun import _log_sphere_area, log_cap_fraction
+from .specfun import log_cap_fraction, log_sphere_area
 
 LEBESGUE = "lebesgue"
 RESTRICTED_LEBESGUE = "restricted_lebesgue"
@@ -117,10 +117,10 @@ class RadialDensity:
                 raise DomainError("segment breakpoints must be strictly increasing")
             if seg.coef < 0 or not math.isfinite(seg.coef):
                 raise DomainError("segment coefficients must be finite and >= 0")
-            if seg.exponent < 0:
+            if not 0.0 <= seg.exponent < math.inf:
                 raise DomainError(
-                    "segments with negative exponents increase; densities must be "
-                    "nonincreasing"
+                    f"segment exponents must lie in [0, inf), got {seg.exponent}: "
+                    "a negative one increases, and densities must be nonincreasing"
                 )
             prev_end = seg.end
         if not any(seg.coef > 0 for seg in segs):
@@ -348,22 +348,20 @@ def _log_radial_mass(density: RadialDensity, radii, rel_tol: float) -> np.ndarra
 # -- ball measures ----------------------------------------------------------
 
 
-def log_ball_at_origin(density: RadialDensity, R: float) -> LogValue:
+def log_ball_at_origin(density: RadialDensity, R: float) -> float:
     """log mu(B(0, R)) = log sigma^{d-1}(S^{d-1}) + log radial mass to R."""
     if R <= 0.0:
         raise DomainError(f"ball radius must be positive, got {R}")
     mass = float(_log_radial_mass(density, [R], DEFAULT_REL_TOL)[0])
-    if mass == NEG_INF:
-        return LogValue(NEG_INF)
-    return LogValue(_log_sphere_area(density.dim) + mass)
+    return log_sphere_area(density.dim) + mass  # -inf for a zero mass
 
 
 def growth_h(density: RadialDensity, u: float, R):
     """log h_u(R) = log mu(B(0,R)) - log mu(B(0,uR)); lies in [0, -d ln u].
 
-    ``R`` is one radius, which gives a LogValue, or a 1-D array of radii,
-    which gives an array of log h_u. The masses at R and uR of every radius
-    come from one batched computation.
+    ``R`` is a 1-D array of radii (a scalar counts as one radius), and the
+    result is always an array of log h_u. The masses at R and uR of every
+    radius come from one batched computation.
     """
     if not (0.0 < u < 1.0):
         raise DomainError(f"u must lie in (0, 1), got {u}")
@@ -372,7 +370,7 @@ def growth_h(density: RadialDensity, u: float, R):
         raise DomainError(f"ball radius must be positive, got {R}")
     n = len(radii)
     inner = u * radii
-    log_sigma = _log_sphere_area(density.dim)
+    log_sigma = log_sphere_area(density.dim)
     balls = log_sigma + _log_radial_mass(
         density, np.concatenate([radii, inner]), DEFAULT_REL_TOL
     )
@@ -380,8 +378,7 @@ def growth_h(density: RadialDensity, u: float, R):
     if np.any(den == NEG_INF):
         zero = float(inner[np.argmax(den == NEG_INF)])
         raise UndefinedGrowthError(f"mu(B(0, {zero})) = 0: growth ratio is undefined")
-    h = num - den
-    return LogValue(float(h[0])) if np.ndim(R) == 0 else h
+    return num - den
 
 
 def _offcenter_logs(
@@ -416,7 +413,7 @@ def _offcenter_logs(
     if np.any(centers < 0.0):
         raise DomainError("center radius must be nonnegative")
     d = density.dim
-    log_sigma = _log_sphere_area(d)
+    log_sigma = log_sphere_area(d)
 
     lo = np.maximum(centers - radii, 0.0)
     hi = np.minimum(np.minimum(centers + radii, density.support_radius), caps)
@@ -490,20 +487,18 @@ def _offcenter_logs(
     return np.where(total > NEG_INF, log_sigma + total, NEG_INF)
 
 
-def log_ball_offcenter(
-    density: RadialDensity, center_radius: float, r: float
-) -> LogValue:
+def log_ball_offcenter(density: RadialDensity, center_radius: float, r: float) -> float:
     """log mu(B(x0, r)) for a center at distance ``center_radius`` from 0."""
     if r <= 0.0:
         raise DomainError(f"ball radius must be positive, got {r}")
-    return LogValue(float(_offcenter_logs(density, center_radius, [r])[0]))
+    return float(_offcenter_logs(density, center_radius, [r])[0])
 
 
 def intersect_origin_ball(
     density: RadialDensity, rho_max: float, center_radius: float, r: float
-) -> LogValue:
+) -> float:
     """log mu(B(0, rho_max) ∩ B(x0, r)): the off-center reduction with the
     radial variable clipped at rho_max."""
     if rho_max <= 0.0 or r <= 0.0:
         raise DomainError("rho_max and r must be positive")
-    return LogValue(float(_offcenter_logs(density, center_radius, [r], [rho_max])[0]))
+    return float(_offcenter_logs(density, center_radius, [r], [rho_max])[0])

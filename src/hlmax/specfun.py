@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .logspace import LogValue
 
 LN_HALF = math.log(0.5)
 LN_PI = math.log(math.pi)
@@ -35,26 +34,18 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _log_ball_volume(d: int) -> float:
+def log_ball_volume(d: int) -> float:
+    """Log volume of the unit ball in R^d: (d/2) ln pi - ln Gamma(1 + d/2)."""
     if d < 1 or int(d) != d:
         raise DomainError(f"ball volume needs integer d >= 1, got {d}")
     return 0.5 * d * LN_PI - log_gamma(1.0 + 0.5 * d)
 
 
-def _log_sphere_area(d: int) -> float:
-    # surface area of the unit (d-1)-sphere equals d times the unit d-ball volume
-    ball = _log_ball_volume(d)
+def log_sphere_area(d: int) -> float:
+    """Log surface area of the unit (d-1)-sphere in R^d: d times the unit
+    d-ball volume."""
+    ball = log_ball_volume(d)  # first, so d = 0 raises DomainError
     return math.log(d) + ball
-
-
-def log_ball_volume(d: int) -> LogValue:
-    """Log volume of the unit ball in R^d: (d/2) ln pi - ln Gamma(1 + d/2)."""
-    return LogValue(_log_ball_volume(d))
-
-
-def log_sphere_area(d: int) -> LogValue:
-    """Log surface area of the unit (d-1)-sphere in R^d."""
-    return LogValue(_log_sphere_area(d))
 
 
 def gamma_ratio_bounds_hold(d: int) -> bool:
@@ -360,7 +351,7 @@ def log_cap_fraction(dim: int, s) -> np.ndarray:
     return out
 
 
-def cap_area_exact(cap: CapSpec) -> LogValue:
+def cap_area_exact(cap: CapSpec) -> float:
     """Log of the normalized cap area.
 
     At dim <= 4 this is the closed form of ``log_cap_fraction``. Above, the
@@ -368,24 +359,21 @@ def cap_area_exact(cap: CapSpec) -> LogValue:
     which stays in log space at any dimension.
     """
     if cap.dim <= 4:
-        return LogValue(float(log_cap_fraction(cap.dim, cap.s)[0]))
+        return float(log_cap_fraction(cap.dim, cap.s)[0])
     a = 0.5 * (cap.dim - 1)
     x = np.array([cap.t * cap.t])
     y = np.array([cap.s * cap.s])
-    val = LN_HALF + float(_log_betainc(a, 0.5, x, y)[0])
-    return LogValue(val)
+    return LN_HALF + float(_log_betainc(a, 0.5, x, y)[0])
 
 
-def cap_area_bounds(cap: CapSpec) -> tuple[LogValue, LogValue]:
+def cap_area_bounds(cap: CapSpec) -> tuple[float, float]:
     """Two-sided estimate of the normalized cap area.
 
-    Returns (t^{d-1}/sqrt(2 pi d), t^{d-1} sqrt(1+1/d)/(s sqrt(2 pi d))).
+    Returns the logs of (t^{d-1}/sqrt(2 pi d), t^{d-1} sqrt(1+1/d)/(s sqrt(2 pi d))).
     The upper bound divides by s, so s = 0 is rejected.
     """
     if cap.s == 0.0:
         raise DomainError("cap_area_bounds needs s > 0 (upper bound divides by s)")
     d = cap.dim
     base = (d - 1) * math.log(cap.t) - 0.5 * math.log(2.0 * math.pi * d)
-    lower = base
-    upper = base - math.log(cap.s) + 0.5 * math.log1p(1.0 / d)
-    return LogValue(lower), LogValue(upper)
+    return base, base - math.log(cap.s) + 0.5 * math.log1p(1.0 / d)

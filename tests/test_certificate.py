@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -24,7 +25,7 @@ from hlmax.certificate import (
 )
 from hlmax.errors import DomainError, HypothesisViolationError
 from hlmax.radial import RadialDensity, growth_h
-from hlmax.specfun import _log_ball_volume
+from hlmax.specfun import log_ball_volume, log_sphere_area
 
 from oracles import lens_area, unit_ball_rate_base
 
@@ -35,8 +36,8 @@ class TestLemmaCertificate:
     def test_one_dimensional_closed_form(self):
         # intervals: mu(B(0,1)) = 2, mu(B(e1, sqrt2)) = 2 sqrt2, bound 1/(2 sqrt2)
         cert = lemma_certificate(RadialDensity.lebesgue(1), 1.0, 1.0, 1.0)
-        assert math.exp(cert.term_level.log_magnitude) == pytest.approx(2.0, rel=1e-12)
-        assert math.exp(cert.term_denom.log_magnitude) == pytest.approx(
+        assert math.exp(cert.term_level) == pytest.approx(2.0, rel=1e-12)
+        assert math.exp(cert.term_denom) == pytest.approx(
             2.0 * math.sqrt(2.0), rel=1e-10
         )
         assert cert.log_lower_bound == pytest.approx(
@@ -50,9 +51,9 @@ class TestLemmaCertificate:
         q = conjugate_exponent(p)
         expected = (
             -d / q * math.log(2.0)
-            + cert.term_level.log_magnitude
+            + cert.term_level
             - math.log(2.0)
-            - cert.term_denom.log_magnitude
+            - cert.term_denom
         )
         assert cert.log_lower_bound == pytest.approx(expected, abs=1e-12)
         floor = LebesgueBallTerms.prepare(d).result(p).floor_log
@@ -62,9 +63,9 @@ class TestLemmaCertificate:
         dens = RadialDensity.restricted_lebesgue(3)
         cert = lemma_certificate(dens, 1.0, 1e-6, 1.0)
         limit = (
-            cert.term_level.log_magnitude
+            cert.term_level
             - math.log(2.0)
-            - cert.term_denom.log_magnitude
+            - cert.term_denom
         )
         assert cert.log_lower_bound == pytest.approx(limit, abs=1e-12)
 
@@ -72,7 +73,15 @@ class TestLemmaCertificate:
         cert = lemma_certificate(RadialDensity.power(4, 0.5), 1.2, 0.5, 2.0)
         assert cert.log_lower_bound == pytest.approx(cert.recompute_log_lower(), abs=1e-12)
         assert cert.H == pytest.approx(cert.R * math.sqrt(1 + cert.v ** 2), rel=1e-15)
-        assert cert.term_inner.log_magnitude <= cert.term_level.log_magnitude + 1e-12
+        assert cert.term_inner <= cert.term_level + 1e-12
+
+    @pytest.mark.parametrize(
+        "field", ["v", "R", "H", "term_inner", "term_level", "term_denom", "log_lower_bound"]
+    )
+    def test_nan_field_is_rejected(self, field):
+        cert = lemma_certificate(RadialDensity.power(4, 0.5), 1.2, 0.5, 2.0)
+        with pytest.raises(DomainError):
+            dataclasses.replace(cert, **{field: math.nan})
 
     def test_domain_checks(self):
         dens = RadialDensity.lebesgue(2)
@@ -184,7 +193,7 @@ class TestDecp:
         # h_u of a power density is constant; place the window threshold
         # 5e-10 below it (epsilon = 1e-10) and the limsup cap above it
         dens = RadialDensity.power(30, 0.9)
-        h = growth_h(dens, U_SPLIT, 1.0).log_magnitude
+        h = growth_h(dens, U_SPLIT, [1.0])[0]
         t1 = (h - 5e-10) / (-30 * math.log(U_SPLIT))
         with pytest.raises(HypothesisViolationError) as exc:
             GeneralizedDecpTerms.prepare(dens, 0.05, t1, epsilon=1e-10).result(1.0)
@@ -224,12 +233,10 @@ class TestDecpGeneralized:
 
 class TestDoubling:
     def test_inner_term_closed_form(self):
-        from hlmax.specfun import _log_sphere_area
-
         t, d, c = 0.9, 60, 1.4
         res = DoublingTerms.prepare(t, d).result(1.0, 1.0, c)
         a = (1 - t) * d
-        expected = _log_sphere_area(d) + a * math.log(c / 2.0) - math.log(a)
+        expected = log_sphere_area(d) + a * math.log(c / 2.0) - math.log(a)
         assert res.inner_term_log == pytest.approx(expected, abs=1e-12)
 
     def test_exact_dominates_floor(self):
@@ -287,9 +294,9 @@ class TestLebesgueBall:
         q = conjugate_exponent(p)
         expected = (
             -d / q * math.log(2.0)
-            + _log_ball_volume(d)
+            + log_ball_volume(d)
             - math.log(2.0)
-            - _log_ball_volume(d - 1)
+            - log_ball_volume(d - 1)
             + math.log(3.0 * (d + 1) / 16.0)
             + (d + 1) * math.log(8.0 / math.sqrt(55.0))
         )

@@ -507,6 +507,19 @@ class TestRejectedInput:
                 "oracle --family lebesgue --d 2 --p nan --samples 2",
                 "usage error: p must lie in [1, inf), got nan",
             ),
+            (
+                "certify --construction doubling --t 0.99 --c 1.2 --d 50 --p 2 "
+                "--p0-budget nan",
+                "p0_budget must lie in [p, inf) = [2.0, inf), got nan",
+            ),
+            (
+                "certify --family piecewise --segments 1:1:nan --d 3 --p 1",
+                "segment exponents must lie in [0, inf), got nan",
+            ),
+            (
+                "certify --family piecewise --segments 1:1,2:1:inf --d 3 --p 1 --R 1.5",
+                "segment exponents must lie in [0, inf), got inf",
+            ),
         ],
     )
     def test_exits_one_with_one_line(self, capsys, argv, message):
