@@ -13,7 +13,6 @@ from .certificate import (
     GeneralizedDecpResult,
     HypothesisReport,
     LebesgueBallResult,
-    ScanRow,
     T1_MAX,
     U_SPLIT,
     WitnessTerms,
@@ -21,7 +20,6 @@ from .certificate import (
     conjugate_exponent,
     critical_p,
     decp_analytic_floor,
-    decp_explicit_constant,
     lemma_certificate,
 )
 from .errors import (
@@ -33,28 +31,13 @@ from .errors import (
     QuadraturePrecisionError,
     UndefinedGrowthError,
 )
-from .geometry import ConeCapParams, cap_containment_params, doubling_cap_x2, sphere_ball_cap
-from .oracle import (
-    OracleReport,
-    empirical_weak_ratio,
-    maximal_at_point,
-    run_oracle,
-    verify_level_set,
-)
-from .radial import (
-    RadialDensity,
-    Segment,
-    density_from_kv,
-    growth_h,
-    intersect_origin_ball,
-    log_ball_at_origin,
-    log_ball_offcenter,
-)
+from .geometry import ConeCapParams, cap_containment_params, sphere_ball_cap
+from .oracle import OracleReport, empirical_weak_ratio, run_oracle
+from .radial import RadialDensity, Segment, growth_h, log_ball_at_origin, log_ball_offcenter
 from .specfun import (
     CapSpec,
     cap_area_bounds,
     cap_area_exact,
-    gamma_ratio_bounds_hold,
     log_ball_volume,
     log_cap_fraction,
     log_gamma,
@@ -80,7 +63,6 @@ __all__ = [
     "OracleReport",
     "QuadraturePrecisionError",
     "RadialDensity",
-    "ScanRow",
     "Segment",
     "T1_MAX",
     "U_SPLIT",
@@ -93,13 +75,8 @@ __all__ = [
     "conjugate_exponent",
     "critical_p",
     "decp_analytic_floor",
-    "decp_explicit_constant",
-    "density_from_kv",
-    "doubling_cap_x2",
     "empirical_weak_ratio",
-    "gamma_ratio_bounds_hold",
     "growth_h",
-    "intersect_origin_ball",
     "lemma_certificate",
     "log_ball_at_origin",
     "log_ball_offcenter",
@@ -107,8 +84,6 @@ __all__ = [
     "log_cap_fraction",
     "log_gamma",
     "log_sphere_area",
-    "maximal_at_point",
     "run_oracle",
     "sphere_ball_cap",
-    "verify_level_set",
 ]

@@ -122,28 +122,6 @@ class Certificate:
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    """One sweep cell: a lower bound, its per-dimension rate, and the
-    covering-theorem upper bound it must stay under."""
-
-    family: str
-    params: str
-    d: int
-    p: float
-    log_lower_bound: float
-    per_dim_rate: float
-    upper_log: float
-    error: str = ""
-
-    def __post_init__(self):
-        if not self.error and self.log_lower_bound > self.upper_log:
-            raise DomainError(
-                f"lower bound exp({self.log_lower_bound}) exceeds the universal "
-                f"upper bound exp({self.upper_log}) at d={self.d}, p={self.p}"
-            )
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
     """The growth hypothesis as checked: the largest log h_u the sup search
     found and where, and the exact limsup, log h_u at the grid's last radius."""
@@ -667,8 +645,8 @@ def besicovitch_upper(d: int, p: float) -> float:
 
     The o(1) correction to 2.641 is dropped; this bound is asymptotic in d.
     """
-    if d < 1 or p < 1.0:
-        raise DomainError(f"need d >= 1 and p >= 1, got d={d}, p={p}")
+    if not (d >= 1 and 1.0 <= p < math.inf):
+        raise DomainError(f"need d >= 1 and p in [1, inf), got d={d}, p={p}")
     return (d / p) * math.log(BESICOVITCH_BASE)
 
 

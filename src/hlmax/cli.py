@@ -11,7 +11,8 @@ share one construction table and its flags; scan prepares the
 p-independent terms once per d, then assembles each p (``--jobs`` is
 accepted and ignored). Scan rows name their construction and the family
 it certified (doubling: power; lebesgue-ball: restricted-lebesgue;
-whatever ``--family`` says).
+whatever ``--family`` says); a failed row carries its error, and its
+log_lower and rate_per_dim are null (JSON) or empty (CSV).
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .certificate import (
     DoublingTerms,
     GeneralizedDecpTerms,
     LebesgueBallTerms,
-    ScanRow,
     WitnessTerms,
     besicovitch_upper,
     critical_p,
@@ -213,40 +213,41 @@ def cmd_scan(args) -> int:
     if args.segments:
         params = f"segments={args.segments}"
 
-    def row(terms, error: str, d: int, p: float) -> ScanRow:
+    def row(terms, error: str, d: int, p: float) -> dict:
         upper = besicovitch_upper(d, p)
+        low = None
         if not error:
             try:
                 low = entry.record(terms, args, p)["log_lower_bound"]
-                return ScanRow(family, params, d, p, low, low / d, upper)
+                if low > upper:
+                    raise DomainError(
+                        f"lower bound exp({low}) exceeds the universal upper "
+                        f"bound exp({upper}) at d={d}, p={p}"
+                    )
             except Exception as exc:  # recorded per row; scan carries on
-                error = f"{type(exc).__name__}: {exc}"
-        return ScanRow(family, params, d, p, math.nan, math.nan, upper, error)
+                low, error = None, f"{type(exc).__name__}: {exc}"
+        return {
+            "construction": args.construction,
+            "family": family,
+            "params": params,
+            "d": d,
+            "p": p,
+            "log_lower": low,
+            "rate_per_dim": None if low is None else low / d,
+            "upper_log": upper,
+            "error": error,
+        }
 
-    rows = []
+    records = []
     for d in ds:
         try:  # a failure here is p-independent: every row of this d carries it
             terms, error = entry.prepare(args, d), ""
         except Exception as exc:
             terms, error = None, f"{type(exc).__name__}: {exc}"
-        rows.extend(row(terms, error, d, p) for p in ps)
-    rows.sort(key=lambda r: (r.d, r.p))
-    records = [
-        {
-            "construction": args.construction,
-            "family": r.family,
-            "params": r.params,
-            "d": r.d,
-            "p": r.p,
-            "log_lower": r.log_lower_bound,
-            "rate_per_dim": r.per_dim_rate,
-            "upper_log": r.upper_log,
-            "error": r.error,
-        }
-        for r in rows
-    ]
+        records.extend(row(terms, error, d, p) for p in ps)
+    records.sort(key=lambda r: (r["d"], r["p"]))
     _emit(records, args.format, args.output)
-    return 0 if any(not r.error for r in rows) else 1
+    return 0 if any(not r["error"] for r in records) else 1
 
 
 # -- oracle --------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Brute-force verification of certificates in low dimension.
 
 The maximal function is evaluated directly as a supremum over a radius grid
-(always from below, so a report can never falsely refute a certificate), the
-level-set inclusion behind every certificate is spot-checked by seeded
-sampling, and the weak-type ratio is recomputed through an entirely separate
-quadrature stack (QUADPACK in linear scale, with the angular factor from
-scipy's regularized incomplete beta ``betainc``) so the two code paths
-share no intermediate values. The QUADPACK functions import
-scipy.integrate and scipy.special themselves: the import takes about
-0.65 s, which only `oracle` should pay.
+(always from below, so a report can never falsely refute a certificate).
+``run_oracle`` spot-checks the level-set inclusion behind every certificate
+by seeded sampling (the library's one level-set check) and recomputes the
+weak-type ratio through an entirely separate quadrature stack (QUADPACK in
+linear scale, with the angular factor from scipy's regularized incomplete
+beta ``betainc``) so the two code paths share no intermediate values. The
+QUADPACK functions import scipy.integrate and scipy.special themselves:
+the import takes about 0.65 s, which only `oracle` should pay.
 
 ``maximal_sweep`` evaluates many points at once. Each point's radius grid is
 one quadrature call that carries the numerator (capped at vR) of every grid
@@ -102,7 +102,7 @@ def maximal_sweep(
     if grid < 64:
         raise DomainError(f"grid must have at least 64 radii, got {grid}")
     eval_radii = np.asarray(eval_radii, dtype=float)
-    if not (0.0 < v <= 1.0) or R <= 0.0 or np.any(eval_radii < 0.0):
+    if not (0.0 < v <= 1.0 and R > 0.0 and np.all(eval_radii >= 0.0)):
         raise DomainError("need v in (0,1], R > 0, eval_radius >= 0")
     H = R * math.sqrt(1.0 + v * v)
     rs = np.geomspace(1e-3 * v * R, 10.0 * (R + H), grid)
@@ -155,39 +155,6 @@ def maximal_at_point(
     """Grid lower estimate of M_mu chi_{B(0,vR)} at a point of given norm:
     the one-point case of ``maximal_sweep``."""
     return float(maximal_sweep(density, v, R, [eval_radius], refine, grid)[0])
-
-
-def _level_set_radii(density: RadialDensity, R: float, samples: int, seed: int):
-    """Seeded norms of the level-set points: R itself, then samples - 1
-    uniform on (0, R) (directions are irrelevant by rotational invariance)."""
-    if density.dim > MAX_SAMPLING_DIM:
-        raise DomainError(
-            f"level-set sampling is limited to d <= {MAX_SAMPLING_DIM}, "
-            f"got d = {density.dim}"
-        )
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    return np.concatenate([[R], rng.uniform(0.0, R, samples - 1)])
-
-
-def verify_level_set(
-    density: RadialDensity, v: float, R: float, samples: int, seed: int
-) -> tuple[bool, float]:
-    """Check B(0,R) ⊆ {M_mu chi_{B(0,vR)} >= alpha} by seeded radial sampling.
-
-    alpha is the lemma's witness level mu(B(0,vR)) / (2 mu(B(R e1, H))), as
-    ``lemma_certificate`` computes it. The boundary radius R and samples - 1
-    radii uniform on (0, R) go through one ``maximal_sweep`` on the default
-    grid of 64 radii, with ``LEVEL_SET_REFINE`` golden-section steps each.
-    The check passes if no margin log M - log alpha is below
-    -``LEVEL_SET_SLACK``. Returns (pass, worst margin in log units).
-    """
-    radii = _level_set_radii(density, R, samples, seed)
-    alpha_log = lemma_certificate(density, 1.0, v, R).alpha_log
-    vals = maximal_sweep(density, v, R, radii, LEVEL_SET_REFINE)
-    worst = float(np.min(vals - alpha_log))
-    return worst >= -LEVEL_SET_SLACK, worst
 
 
 # -- independent weak-type ratio (linear-scale QUADPACK path) ----------------
@@ -276,8 +243,8 @@ def empirical_weak_ratio(
             f"the linear-scale path is limited to d <= {MAX_SAMPLING_DIM}, "
             f"got d = {density.dim}"
         )
-    if p < 1.0 or not (0.0 < v <= 1.0) or R <= 0.0:
-        raise DomainError("need p >= 1, v in (0,1], R > 0")
+    if not (1.0 <= p < math.inf and 0.0 < v <= 1.0 and R > 0.0):
+        raise DomainError("need p in [1, inf), v in (0,1], R > 0")
     H = R * math.sqrt(1.0 + v * v)
     inner = _mass_origin_quad(density, v * R)
     level = _mass_origin_quad(density, R)
@@ -349,15 +316,24 @@ def run_oracle(
     samples: int = 200,
     grid: int = DEFAULT_GRID,
 ) -> OracleReport:
-    """Full oracle pass: maximal value at R e1, level-set sampling and the
-    independent weak-type ratio. One ``maximal_sweep`` evaluates R e1 and
-    the level-set points; for 6 < d <= 10 only R e1 is checked (the sampling
-    paths are too expensive there)."""
+    """Full oracle pass: maximal value at R e1, the level-set check and the
+    independent weak-type ratio; for 6 < d <= 10 only R e1 is checked (the
+    sampling paths are too expensive there).
+
+    The level-set check samples B(0,R) ⊆ {M_mu chi_{B(0,vR)} >= alpha}, with
+    alpha the lemma's witness level mu(B(0,vR)) / (2 mu(B(R e1, H))), at the
+    norm R and samples - 1 seeded norms uniform on (0, R) (directions are
+    irrelevant by rotational invariance), ``LEVEL_SET_REFINE`` golden-section
+    steps each. It passes if no margin log M - log alpha is below
+    -``LEVEL_SET_SLACK``. One ``maximal_sweep`` evaluates R e1 and the
+    level-set points."""
     if samples < 1:
         raise DomainError("need at least one sample")
     cert = lemma_certificate(density, p, v, R)
     sampled = density.dim <= MAX_SAMPLING_DIM
-    level = _level_set_radii(density, R, samples, seed) if sampled else np.empty(0)
+    level = np.empty(0)
+    if sampled:
+        level = np.concatenate([[R], np.random.default_rng(seed).uniform(0.0, R, samples - 1)])
     steps = np.concatenate([[DEFAULT_REFINE], np.full(len(level), LEVEL_SET_REFINE)])
     vals = maximal_sweep(density, v, R, np.concatenate([[R], level]), steps, grid)
     ok = worst = ratio = gap = None

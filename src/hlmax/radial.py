@@ -216,6 +216,7 @@ class RadialDensity:
     # -- serialization -----------------------------------------------------
 
     def to_kv(self) -> str:
+        """``key = value`` lines that ``hlmax ... --config`` reads back."""
         lines = [f"family = {self.family.replace('_', '-')}", f"d = {self.dim}"]
         if self.t is not None:
             lines.append(f"t = {self.t!r}")
@@ -255,17 +256,6 @@ def parse_segments(value: str) -> tuple[Segment, ...]:
         else:
             raise DomainError(f"malformed segment token {token!r}")
     return tuple(segs)
-
-
-def density_from_kv(text: str) -> RadialDensity:
-    kv = parse_kv(text)
-    t, segments = kv.get("t"), kv.get("segments")
-    return RadialDensity(
-        kv.get("family", ""),
-        int(kv["d"]),
-        t=None if t is None else float(t),
-        segments=None if segments is None else parse_segments(segments),
-    )
 
 
 # -- radial mass (no sphere-area factor) -----------------------------------
@@ -350,7 +340,7 @@ def _log_radial_mass(density: RadialDensity, radii, rel_tol: float) -> np.ndarra
 
 def log_ball_at_origin(density: RadialDensity, R: float) -> float:
     """log mu(B(0, R)) = log sigma^{d-1}(S^{d-1}) + log radial mass to R."""
-    if R <= 0.0:
+    if not R > 0.0:
         raise DomainError(f"ball radius must be positive, got {R}")
     mass = float(_log_radial_mass(density, [R], DEFAULT_REL_TOL)[0])
     return log_sphere_area(density.dim) + mass  # -inf for a zero mass
@@ -366,7 +356,7 @@ def growth_h(density: RadialDensity, u: float, R):
     if not (0.0 < u < 1.0):
         raise DomainError(f"u must lie in (0, 1), got {u}")
     radii = np.atleast_1d(np.asarray(R, dtype=float))
-    if np.any(radii <= 0.0):
+    if not np.all(radii > 0.0):
         raise DomainError(f"ball radius must be positive, got {R}")
     n = len(radii)
     inner = u * radii
@@ -403,14 +393,14 @@ def _offcenter_logs(
     with rho = mid + half sin theta and the Jacobian half cos theta.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0.0):
+    if not np.all(radii > 0.0):
         raise DomainError("ball radii must be positive")
     n = len(radii)
     caps = np.full(n, math.inf) if rho_caps is None else np.atleast_1d(
         np.asarray(rho_caps, dtype=float)
     )
     centers = np.broadcast_to(np.asarray(center_radius, dtype=float), (n,))
-    if np.any(centers < 0.0):
+    if not np.all(centers >= 0.0):
         raise DomainError("center radius must be nonnegative")
     d = density.dim
     log_sigma = log_sphere_area(d)
@@ -489,16 +479,7 @@ def _offcenter_logs(
 
 def log_ball_offcenter(density: RadialDensity, center_radius: float, r: float) -> float:
     """log mu(B(x0, r)) for a center at distance ``center_radius`` from 0."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"ball radius must be positive, got {r}")
     return float(_offcenter_logs(density, center_radius, [r])[0])
 
-
-def intersect_origin_ball(
-    density: RadialDensity, rho_max: float, center_radius: float, r: float
-) -> float:
-    """log mu(B(0, rho_max) ∩ B(x0, r)): the off-center reduction with the
-    radial variable clipped at rho_max."""
-    if rho_max <= 0.0 or r <= 0.0:
-        raise DomainError("rho_max and r must be positive")
-    return float(_offcenter_logs(density, center_radius, [r], [rho_max])[0])

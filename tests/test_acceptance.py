@@ -16,7 +16,7 @@ from hlmax.certificate import (
     decp_explicit_constant,
     lemma_certificate,
 )
-from hlmax.oracle import empirical_weak_ratio, verify_level_set
+from hlmax.oracle import empirical_weak_ratio, run_oracle
 from hlmax.radial import (
     RadialDensity,
     growth_h,
@@ -157,13 +157,16 @@ def test_criterion_09_oracle_soundness():
     for make in families:
         for d in (2, 3, 4):
             dens = make(d)
-            ok, worst = verify_level_set(dens, 0.5, 1.0, 200, seed=20240601 + d)
-            assert ok, f"level set failed for {dens} (worst margin {worst})"
-            for p in (1.0, 1.2):
-                cert = lemma_certificate(dens, p, 0.5, 1.0)
-                ratio = empirical_weak_ratio(dens, p, 0.5, 1.0)
-                assert abs(ratio - cert.log_lower_bound) <= 1e-6
-                checked += 1
+            # at p = 1 the oracle checks the level set and the dual path
+            report = run_oracle(dens, 1.0, 0.5, 1.0, seed=20240601 + d, samples=200)
+            assert report.level_set_ok, (
+                f"level set failed for {dens} (worst margin {report.worst_margin})"
+            )
+            assert abs(report.dual_path_gap) <= 1e-6
+            cert = lemma_certificate(dens, 1.2, 0.5, 1.0)
+            ratio = empirical_weak_ratio(dens, 1.2, 0.5, 1.0)
+            assert abs(ratio - cert.log_lower_bound) <= 1e-6
+            checked += 2
     _report(9, f"level sets verified and {checked} dual-path ratios agree to 1e-6")
 
 

@@ -13,7 +13,6 @@ from hlmax.certificate import (
     DoublingTerms,
     GeneralizedDecpTerms,
     LebesgueBallTerms,
-    ScanRow,
     WitnessTerms,
     besicovitch_upper,
     conjugate_exponent,
@@ -406,7 +405,3 @@ class TestUniversal:
     def test_unknown_tag(self):
         with pytest.raises(DomainError):
             critical_p("nope")
-
-    def test_scan_row_invariant(self):
-        with pytest.raises(DomainError):
-            ScanRow("lebesgue", "", 2, 1.0, 100.0, 50.0, 1.0)

@@ -35,6 +35,18 @@ def test_import_leaves_out_scipy_integrate():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_public_names_resolve():
+    for name in hlmax.__all__:
+        getattr(hlmax, name)
+    # test-only helpers stay in their modules, off the package's list
+    dropped = {
+        "ScanRow", "verify_level_set", "intersect_origin_ball", "density_from_kv",
+        "maximal_at_point", "decp_explicit_constant", "gamma_ratio_bounds_hold",
+        "doubling_cap_x2",
+    }
+    assert not dropped & set(hlmax.__all__)
+
+
 class TestCriticalP:
     def test_both_roots(self, capsys):
         code, out, _ = run_cli(capsys, "critical-p")
@@ -195,6 +207,38 @@ class TestScan:
         recs = [json.loads(line) for line in out.strip().splitlines()]
         assert recs[0]["error"] != ""
         assert recs[1]["error"] == ""
+
+    def test_scan_row_invariant(self, capsys, monkeypatch):
+        # a lower bound above the covering-theorem upper bound is that row's error
+        monkeypatch.setattr(cli, "besicovitch_upper", lambda d, p: -1000.0)
+        code, out, _ = run_cli(
+            capsys, "scan", "--construction", "lebesgue-ball",
+            "--d-range", "10:10:1", "--p-list", "1",
+        )
+        assert code == 1
+        (row,) = [json.loads(line) for line in out.strip().splitlines()]
+        assert row["error"].startswith("DomainError: lower bound exp(")
+        assert "exceeds the universal upper bound exp(-1000.0) at d=10, p=1.0" in row["error"]
+        assert row["log_lower"] is None and row["rate_per_dim"] is None
+
+    def test_error_row_is_strict_json_and_empty_csv(self, capsys):
+        # the decp growth hypothesis fails for Lebesgue: the row carries no number
+        argv = ("scan", "--construction", "decp", "--family", "lebesgue",
+                "--d-range", "10:10:1", "--p-list", "1")
+
+        def no_constant(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        row = json.loads(out, parse_constant=no_constant)
+        assert row["error"].startswith("HypothesisViolationError: ")
+        assert row["log_lower"] is None and row["rate_per_dim"] is None
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 1
+        (cells,) = csv.DictReader(io.StringIO(out))
+        assert cells["log_lower"] == "" and cells["rate_per_dim"] == ""
+        assert cells["upper_log"] != ""
 
 
 class TestScanConstructions:

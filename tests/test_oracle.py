@@ -15,7 +15,6 @@ from hlmax.oracle import (
     maximal_at_point,
     maximal_sweep,
     run_oracle,
-    verify_level_set,
 )
 from hlmax.radial import RadialDensity, _offcenter_logs
 from hlmax.specfun import log_cap_fraction
@@ -253,31 +252,31 @@ class TestSkippedDenominators:
 
 
 class TestLevelSet:
+    # run_oracle's level-set check, which needs no particular p: p = 1
     def test_boundary_radius_margin_nonnegative(self):
-        ok, worst = verify_level_set(RadialDensity.lebesgue(2), 0.5, 1.0, 1, seed=0)
-        assert ok
-        assert worst >= -1e-6
+        report = run_oracle(RadialDensity.lebesgue(2), 1.0, 0.5, 1.0, seed=0, samples=1)
+        assert report.level_set_ok
+        assert report.worst_margin >= -1e-6
 
     def test_planar_lebesgue_seeded(self):
-        ok, worst = verify_level_set(
-            RadialDensity.lebesgue(2), 0.5, 1.0, 60, seed=42
-        )
-        assert ok
+        report = run_oracle(RadialDensity.lebesgue(2), 1.0, 0.5, 1.0, seed=42, samples=60)
+        assert report.level_set_ok
 
     def test_restricted_three_dim_seeded(self):
-        ok, worst = verify_level_set(
-            RadialDensity.restricted_lebesgue(3), 0.5, 1.0, 60, seed=7
+        report = run_oracle(
+            RadialDensity.restricted_lebesgue(3), 1.0, 0.5, 1.0, seed=7, samples=60
         )
-        assert ok
+        assert report.level_set_ok
 
     def test_seeded_determinism(self):
-        a = verify_level_set(RadialDensity.power(2, 0.5), 0.5, 1.0, 20, seed=11)
-        b = verify_level_set(RadialDensity.power(2, 0.5), 0.5, 1.0, 20, seed=11)
-        assert a == b
+        a = run_oracle(RadialDensity.power(2, 0.5), 1.0, 0.5, 1.0, seed=11, samples=20)
+        b = run_oracle(RadialDensity.power(2, 0.5), 1.0, 0.5, 1.0, seed=11, samples=20)
+        assert (a.level_set_ok, a.worst_margin) == (b.level_set_ok, b.worst_margin)
 
     def test_dimension_guard(self):
-        with pytest.raises(DomainError):
-            verify_level_set(RadialDensity.lebesgue(7), 0.5, 1.0, 10, seed=0)
+        report = run_oracle(RadialDensity.lebesgue(7), 1.0, 0.5, 1.0, seed=0, samples=10)
+        assert report.level_set_ok is None
+        assert report.worst_margin is None
 
 
 class TestEmpiricalWeakRatio:

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -16,3 +18,16 @@ def test_tracer_self_test_passes():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_entry_points_resolve():
+    # every name the traced run wraps still lives in its hlmax module
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py")
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.ENTRY_POINTS.items():
+        module = importlib.import_module("hlmax." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"hlmax.{layer}.{name}"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hlmax.radial as radial
+from hlmax.certificate import besicovitch_upper, lemma_certificate
+from hlmax.cli import main
 from hlmax.errors import DomainError, QuadraturePrecisionError
+from hlmax.oracle import empirical_weak_ratio, maximal_sweep
 from hlmax.radial import (
     RadialDensity,
     _log_radial_mass,
     _offcenter_logs,
-    density_from_kv,
     growth_h,
-    intersect_origin_ball,
     log_ball_at_origin,
     log_ball_offcenter,
 )
@@ -58,13 +60,24 @@ class TestValidation:
         with pytest.raises(DomainError):
             RadialDensity.lebesgue(0)
 
-    def test_kv_roundtrip(self):
+    def test_kv_roundtrip(self, tmp_path, capsys):
+        # --config reads to_kv's format: certify reproduces the density's own
+        # certificate, and the oracle (d <= 10) echoes the density it built
+        cfg = tmp_path / "density.cfg"
         for dens in (
             RadialDensity.lebesgue(3),
             RadialDensity.truncated_power(100, 0.25),
             RadialDensity.piecewise(4, [(0.5, 2.0), (1.5, 0.5, 1.25)]),
         ):
-            assert density_from_kv(dens.to_kv()) == dens
+            cfg.write_text(dens.to_kv())
+            assert main(["certify", "--config", str(cfg), "--p", "1"]) == 0
+            want = lemma_certificate(dens, 1.0, 0.5, 1.0).to_record()
+            assert json.loads(capsys.readouterr().out) == want
+            if dens.dim <= 10:
+                argv = ["oracle", "--config", str(cfg), "--samples", "1", "--grid", "64"]
+                assert main(argv) == 0
+                rec = json.loads(capsys.readouterr().out)
+                assert rec["density"].split("; ") == dens.to_kv().splitlines()
 
 
 class TestOriginBalls:
@@ -203,18 +216,18 @@ class TestOffCenter:
         leb = RadialDensity.lebesgue(2)
         H = math.sqrt(5.0) / 2.0
         full = log_ball_offcenter(leb, 1.0, H)
-        clipped = intersect_origin_ball(leb, 10.0, 1.0, H)
+        clipped = _offcenter_logs(leb, 1.0, [H], [10.0])[0]
         assert clipped == pytest.approx(full, abs=1e-10)
 
     def test_intersect_vanishes(self):
         leb = RadialDensity.lebesgue(2)
-        tiny = intersect_origin_ball(leb, 1e-8, 1.0, 0.5)
+        tiny = _offcenter_logs(leb, 1.0, [0.5], [1e-8])[0]
         assert tiny < -30.0
 
     def test_intersect_planar_lens_with_cut(self):
         leb = RadialDensity.lebesgue(2)
         H = math.sqrt(5.0) / 2.0
-        got = intersect_origin_ball(leb, 0.5, 1.0, H)
+        got = _offcenter_logs(leb, 1.0, [H], [0.5])[0]
         assert got == pytest.approx(math.log(lens_area(0.5, H, 1.0)), abs=1e-9)
 
     def test_additivity_inner_plus_complement(self):
@@ -226,7 +239,7 @@ class TestOffCenter:
         ]:
             rho_max = 0.8
             whole = math.exp(log_ball_offcenter(dens, r0, r))
-            inner = math.exp(intersect_origin_ball(dens, rho_max, r0, r))
+            inner = math.exp(_offcenter_logs(dens, r0, [r], [rho_max])[0])
             shell = offcenter_mass_quadpack(dens, r0, r, rho_lo=rho_max)
             assert whole == pytest.approx(inner + shell, rel=1e-8)
 
@@ -636,3 +649,34 @@ class TestBatchedQuadrature:
         assert np.isfinite(quadrature.log_integrate_batch(logf, [0.0], [1.0], [0], [0], 1)[0])
         with pytest.raises(QuadraturePrecisionError):
             quadrature.log_integrate_batch(logf, [0.0, 0.0], [1.0, 1.0], [0, 1], [0, 1], 2)
+
+
+_L3 = RadialDensity.lebesgue(3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: log_ball_at_origin(_L3, math.nan), "must be positive"),
+        (lambda: log_ball_offcenter(_L3, 1.0, math.nan), "must be positive"),
+        (lambda: log_ball_offcenter(_L3, math.nan, 1.0), "center radius"),
+        (lambda: growth_h(_L3, 0.5, [math.nan]), "must be positive"),
+        (lambda: _offcenter_logs(_L3, [1.0, 1.0], [1.0, math.nan]), "must be positive"),
+        (lambda: _offcenter_logs(_L3, [1.0, math.nan], [1.0, 1.0]), "center radius"),
+        (lambda: empirical_weak_ratio(_L3, math.nan, 0.5, 1.0), r"p in \[1, inf\)"),
+        (lambda: maximal_sweep(_L3, 0.5, math.nan, [0.5], 0), "R > 0"),
+        (lambda: maximal_sweep(_L3, 0.5, 1.0, [0.5, math.nan], 0), "eval_radius"),
+        (lambda: besicovitch_upper(10, math.nan), r"p in \[1, inf\)"),
+        (lambda: besicovitch_upper(10, math.inf), r"p in \[1, inf\)"),
+    ],
+    ids=[
+        "origin-ball-radius", "offcenter-radius", "offcenter-center", "growth-radius",
+        "batch-radius", "batch-center", "weak-ratio-p", "sweep-R", "sweep-point",
+        "besicovitch-nan-p", "besicovitch-inf-p",
+    ],
+)
+def test_nan_input_names_the_bad_value(call, message):
+    # each guard reads "not (ok)", so a NaN fails it instead of slipping
+    # through to a zero measure or a NaN result
+    with pytest.raises(DomainError, match=message):
+        call()
