@@ -23,7 +23,6 @@ from .certificate import (
     lemma_certificate,
 )
 from .errors import (
-    DegenerateCapError,
     DomainError,
     EmptyTestFunctionError,
     HypothesisViolationError,
@@ -31,11 +30,9 @@ from .errors import (
     QuadraturePrecisionError,
     UndefinedGrowthError,
 )
-from .geometry import ConeCapParams, cap_containment_params, sphere_ball_cap
 from .oracle import OracleReport, empirical_weak_ratio, run_oracle
 from .radial import RadialDensity, Segment, growth_h, log_ball_at_origin, log_ball_offcenter
 from .specfun import (
-    CapSpec,
     cap_area_bounds,
     cap_area_exact,
     log_ball_volume,
@@ -48,10 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "CapSpec",
-    "ConeCapParams",
     "DecpResult",
-    "DegenerateCapError",
     "DomainError",
     "DoublingResult",
     "EmptyTestFunctionError",
@@ -71,7 +65,6 @@ __all__ = [
     "besicovitch_upper",
     "cap_area_bounds",
     "cap_area_exact",
-    "cap_containment_params",
     "conjugate_exponent",
     "critical_p",
     "decp_analytic_floor",
@@ -85,5 +78,4 @@ __all__ = [
     "log_gamma",
     "log_sphere_area",
     "run_oracle",
-    "sphere_ball_cap",
 ]

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyTestFunctionError, HypothesisViolationError
-from .geometry import cap_containment_params, sphere_ball_cap
 from .logspace import LN2, NEG_INF, log_sum
 from .radial import (
     PIECEWISE,
@@ -40,15 +39,35 @@ from .radial import (
     log_ball_at_origin,
     log_ball_offcenter,
 )
-from .specfun import log_ball_volume, log_sphere_area
+from .specfun import log_ball_volume, log_cap_upper, log_sphere_area
 
 U_SPLIT = math.sqrt(2.0 / 3.0)  # shell ratio that makes the three-piece split work
 T1_MAX = math.log(64.0 / 55.0) / math.log(9.0 / 4.0)
 BESICOVITCH_BASE = 2.641  # covering-theorem constant; its o(1) term is dropped
 
-# caps for the outer and middle pieces of the split at v = 1/2, H = R sqrt(5)/2
-_OUT_CAP = sphere_ball_cap(1.0, 1.0, math.sqrt(5.0) / 2.0)  # s = 3/8
-_MID_CAP = sphere_ball_cap(U_SPLIT, 1.0, math.sqrt(5.0) / 2.0)
+
+def _split_cap(rho: float) -> tuple[float, float]:
+    """(s, t) = (cos r, sin r) of the cap that B(e1, sqrt(5)/2) cuts from the
+    sphere of radius rho about 0: the circles x1^2 + x2^2 = rho^2 and
+    (x1 - 1)^2 + x2^2 = 5/4 meet at x1 = s rho."""
+    h = math.sqrt(5.0) / 2.0
+    s = (rho * rho + 1.0 - h * h) / (2.0 * rho)
+    return s, math.sqrt((1.0 - s) * (1.0 + s))
+
+
+def _doubling_cone(c: float) -> tuple[float, float]:
+    """(s, t) of the cone cap of the doubling construction's middle shell:
+    height s = (c^2 - 1)/(4c) and enclosing-ball radius
+    t = sqrt(18 c^2 - c^4 - 1)/(4c). t decreases from 1 to sqrt(55)/8 on
+    (1, 2], and s^2 + t^2 = 1 only at c = 2."""
+    return (c * c - 1.0) / (4.0 * c), math.sqrt(18.0 * c * c - c ** 4 - 1.0) / (4.0 * c)
+
+
+# caps for the outer and middle pieces of the split at v = 1/2, H = R sqrt(5)/2.
+# The outer s is two ulps below 3/8, since (sqrt(5)/2)^2 rounds; a smaller s
+# only enlarges the upper estimate, so every floor stays a lower bound.
+_OUT_S, _OUT_T = _split_cap(1.0)
+_MID_S, _MID_T = _split_cap(U_SPLIT)
 
 
 def conjugate_exponent(p: float) -> float:
@@ -104,7 +123,7 @@ class Certificate:
             "d": self.density.dim,
             "t": self.density.t,
             "p": self.p,
-            "q": self.q,
+            "q": None if self.q == math.inf else self.q,  # null, not Infinity, at p = 1
             "v": self.v,
             "R": self.R,
             "H": self.H,
@@ -393,17 +412,6 @@ def _check_hypothesis_and_pick_r1(
 # -- main construction -------------------------------------------------------
 
 
-def _cap_upper_log(s: float, t: float, d: int) -> float:
-    """Log of the explicit cap-area upper estimate t^(d-1) sqrt(1+1/d) /
-    (s sqrt(2 pi d)); t = 1 gives the estimate's constant alone."""
-    return (
-        (d - 1) * math.log(t)
-        + 0.5 * math.log1p(1.0 / d)
-        - math.log(s)
-        - 0.5 * math.log(2.0 * math.pi * d)
-    )
-
-
 def decp_denominator_factor_log(d: int, epsilon: float) -> float:
     """Log of D(d, eps): mu(B(R1 e1, H)) <= 2 (55/64)^(d/6) D(d, eps) mu(B(0, R1)).
 
@@ -416,10 +424,10 @@ def decp_denominator_factor_log(d: int, epsilon: float) -> float:
     piece_outer = (
         2.0 * math.log1p(epsilon)
         + 2.0 * log_tau
-        + _cap_upper_log(_OUT_CAP.s, _OUT_CAP.t, d)
+        + log_cap_upper(d, _OUT_S, _OUT_T)
         + log_tau  # normalize against the (55/64)^(d/6) prefactor
     )
-    piece_middle = _cap_upper_log(_MID_CAP.s, _MID_CAP.t, d) + log_tau
+    piece_middle = log_cap_upper(d, _MID_S, _MID_T) + log_tau
     return log_sum([piece_core, piece_outer, piece_middle])
 
 
@@ -518,8 +526,8 @@ class GeneralizedDecpTerms:
         witness = WitnessTerms.prepare(density, 0.5, r1)
         beta_log = max(
             -t0 * lu,
-            2.0 * t_bar * lu + math.log(_OUT_CAP.t),
-            math.log(_MID_CAP.t),
+            2.0 * t_bar * lu + math.log(_OUT_T),
+            math.log(_MID_T),
         )
         return cls(witness, report, beta_log, math.log(2.0) / (LN2 + beta_log))
 
@@ -569,22 +577,22 @@ class DoublingTerms:
         a = (1.0 - t) * d
         log_sigma = log_sphere_area(d)
         inner = log_sigma + a * math.log(c / 2.0) - math.log(a)
-        cone = cap_containment_params(c)
+        cone_s, cone_t = _doubling_cone(c)
         middle = (
             log_sigma
             - math.log(a)
-            + (d - 1) * math.log(cone.t)
-            + _cap_upper_log(cone.s, 1.0, d)
+            + (d - 1) * math.log(cone_t)
+            + log_cap_upper(d, cone_s, 1.0)
         )
         outer = (
             log_sigma
             - math.log(a)
             + a * math.log1p(math.sqrt(5.0) / 2.0)
-            + (d - 1) * math.log(_OUT_CAP.t)
-            + _cap_upper_log(_OUT_CAP.s, 1.0, d)
+            + (d - 1) * math.log(_OUT_T)
+            + log_cap_upper(d, _OUT_S, 1.0)
         )
         dominance = middle <= inner and outer <= inner
-        d0 = _doubling_d0(cone.s)
+        d0 = _doubling_d0(cone_s)
         b0 = min(6.0 ** (1.0 / d0), limit / c)
         floor = -math.log(6.0) + a * (math.log(2.0) / p - math.log(c))
         return DoublingResult(cert, floor, inner, middle, outer, dominance, d0, b0)
@@ -592,11 +600,11 @@ class DoublingTerms:
 
 def _doubling_d0(s_mid: float) -> int:
     """Smallest dimension with both cap constants at most 1."""
-    s = min(s_mid, _OUT_CAP.s)
+    s = min(s_mid, _OUT_S)
     d0 = max(2, int(1.0 / (2.0 * math.pi * s * s)) - 2)
-    while _cap_upper_log(s, 1.0, d0) > 0.0:
+    while log_cap_upper(d0, s, 1.0) > 0.0:
         d0 += 1
-    while d0 > 2 and _cap_upper_log(s, 1.0, d0 - 1) <= 0.0:
+    while d0 > 2 and log_cap_upper(d0 - 1, s, 1.0) <= 0.0:
         d0 -= 1
     return d0
 

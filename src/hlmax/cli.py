@@ -38,7 +38,7 @@ from .certificate import (
 from .errors import DomainError, HypothesisViolationError, NumericalError
 from .oracle import MAX_ORACLE_DIM, run_oracle
 from .radial import RadialDensity, parse_kv, parse_segments
-from .specfun import CapSpec, cap_area_bounds, cap_area_exact
+from .specfun import cap_area_bounds, cap_area_exact
 
 OUTPUT_DIR_ENV = "HLMAX_OUTPUT_DIR"
 
@@ -284,10 +284,9 @@ def cmd_caps(args) -> int:
     for s in svals:
         if not (0.0 <= s < 1.0):
             raise UsageError(f"s must lie in [0, 1), got {s}")
-        cap = CapSpec.from_cos(args.d, s)
-        exact = cap_area_exact(cap)
+        exact = cap_area_exact(args.d, s)
         if s > 0.0:
-            lo, hi = cap_area_bounds(cap)
+            lo, hi = cap_area_bounds(args.d, s)
             ok = lo - 1e-10 <= exact <= hi + 1e-10
         else:
             lo = hi = None
@@ -296,7 +295,7 @@ def cmd_caps(args) -> int:
             {
                 "d": args.d,
                 "s": s,
-                "t": cap.t,
+                "t": math.sqrt((1.0 - s) * (1.0 + s)),
                 "log_exact": exact,
                 "log_lower": lo,
                 "log_upper": hi,

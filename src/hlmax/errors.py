@@ -5,18 +5,6 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class DegenerateCapError(DomainError):
-    """Sphere/ball configuration yields no proper cap.
-
-    ``case`` identifies which degeneracy occurred: "tangent", "disjoint"
-    or "contained".
-    """
-
-    def __init__(self, case: str, message: str):
-        super().__init__(message)
-        self.case = case
-
-
 class UndefinedGrowthError(DomainError):
     """Growth ratio undefined because the inner ball has zero measure."""
 

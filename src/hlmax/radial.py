@@ -399,6 +399,8 @@ def _offcenter_logs(
     caps = np.full(n, math.inf) if rho_caps is None else np.atleast_1d(
         np.asarray(rho_caps, dtype=float)
     )
+    if not np.all(caps >= 0.0):
+        raise DomainError("cap radius must be nonnegative")
     centers = np.broadcast_to(np.asarray(center_radius, dtype=float), (n,))
     if not np.all(centers >= 0.0):
         raise DomainError("center radius must be nonnegative")

@@ -10,7 +10,6 @@ for d beyond a few hundred. Against 30-digit mpmath its log is within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,35 +59,6 @@ def gamma_ratio_bounds_hold(d: int) -> bool:
     lo = 0.5 * math.log(0.5 * d)
     hi = 0.5 * math.log(0.5 * (d + 1))
     return (mid - lo) >= -1e-12 and (hi - mid) >= -1e-12
-
-
-@dataclass(frozen=True)
-class CapSpec:
-    """A spherical cap given by (s, t) = (cos r, sin r) of its angular radius.
-
-    Caps here are at most hemispheres: s in [0, 1), t in (0, 1].
-    """
-
-    dim: int
-    s: float
-    t: float
-
-    def __post_init__(self):
-        if self.dim < 2 or int(self.dim) != self.dim:
-            raise DomainError(f"cap area formulas need integer dim >= 2, got {self.dim}")
-        if not (0.0 <= self.s < 1.0):
-            raise DomainError(f"s must lie in [0, 1), got {self.s}")
-        if not (0.0 < self.t <= 1.0):
-            raise DomainError(f"t must lie in (0, 1], got {self.t}")
-        if abs(self.s * self.s + self.t * self.t - 1.0) > 1e-12:
-            raise DomainError(
-                f"(s, t) must satisfy s^2 + t^2 = 1 to 1e-12, got s={self.s}, t={self.t}"
-            )
-
-    @classmethod
-    def from_cos(cls, dim: int, s: float) -> "CapSpec":
-        t = math.sqrt(max((1.0 - s) * (1.0 + s), 0.0))
-        return cls(dim, s, t)
 
 
 # From _LARGE_A up (with b = 1/2, that is d >= 101), I_x(a, b) avoids two
@@ -351,29 +321,40 @@ def log_cap_fraction(dim: int, s) -> np.ndarray:
     return out
 
 
-def cap_area_exact(cap: CapSpec) -> float:
-    """Log of the normalized cap area.
-
-    At dim <= 4 this is the closed form of ``log_cap_fraction``. Above, the
-    slice integral of sin^{d-2} reduces to (1/2) I_{t^2}((d-1)/2, 1/2),
-    which stays in log space at any dimension.
-    """
-    if cap.dim <= 4:
-        return float(log_cap_fraction(cap.dim, cap.s)[0])
-    a = 0.5 * (cap.dim - 1)
-    x = np.array([cap.t * cap.t])
-    y = np.array([cap.s * cap.s])
-    return LN_HALF + float(_log_betainc(a, 0.5, x, y)[0])
+def _check_cap(dim: int, s: float) -> None:
+    if dim < 2 or int(dim) != dim:
+        raise DomainError(f"cap area formulas need integer dim >= 2, got {dim}")
+    if not (0.0 <= s < 1.0):
+        raise DomainError(f"s must lie in [0, 1), got {s}")
 
 
-def cap_area_bounds(cap: CapSpec) -> tuple[float, float]:
-    """Two-sided estimate of the normalized cap area.
+def cap_area_exact(dim: int, s: float) -> float:
+    """Log of the normalized area of the cap {theta_1 >= s} on S^{d-1}, for
+    integer dim >= 2 and s in [0, 1): ``log_cap_fraction`` at one point."""
+    _check_cap(dim, s)
+    return float(log_cap_fraction(dim, s)[0])
+
+
+def log_cap_upper(dim: int, s: float, t: float) -> float:
+    """Log of the cap-area upper estimate t^(d-1) sqrt(1+1/d) / (s sqrt(2 pi d))
+    that every analytic floor uses; t = 1 gives its constant alone."""
+    return (
+        (dim - 1) * math.log(t)
+        + 0.5 * math.log1p(1.0 / dim)
+        - math.log(s)
+        - 0.5 * math.log(2.0 * math.pi * dim)
+    )
+
+
+def cap_area_bounds(dim: int, s: float) -> tuple[float, float]:
+    """Two-sided estimate of the normalized cap area, t = sqrt(1 - s^2).
 
     Returns the logs of (t^{d-1}/sqrt(2 pi d), t^{d-1} sqrt(1+1/d)/(s sqrt(2 pi d))).
     The upper bound divides by s, so s = 0 is rejected.
     """
-    if cap.s == 0.0:
+    _check_cap(dim, s)
+    if s == 0.0:
         raise DomainError("cap_area_bounds needs s > 0 (upper bound divides by s)")
-    d = cap.dim
-    base = (d - 1) * math.log(cap.t) - 0.5 * math.log(2.0 * math.pi * d)
-    return base, base - math.log(cap.s) + 0.5 * math.log1p(1.0 / d)
+    t = math.sqrt((1.0 - s) * (1.0 + s))
+    lower = (dim - 1) * math.log(t) - 0.5 * math.log(2.0 * math.pi * dim)
+    return lower, log_cap_upper(dim, s, t)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -42,9 +43,11 @@ def test_public_names_resolve():
     dropped = {
         "ScanRow", "verify_level_set", "intersect_origin_ball", "density_from_kv",
         "maximal_at_point", "decp_explicit_constant", "gamma_ratio_bounds_hold",
-        "doubling_cap_x2",
+        "doubling_cap_x2", "CapSpec", "ConeCapParams", "DegenerateCapError",
+        "sphere_ball_cap", "cap_containment_params",
     }
     assert not dropped & set(hlmax.__all__)
+    assert importlib.util.find_spec("hlmax.geometry") is None
 
 
 class TestCriticalP:
@@ -120,6 +123,28 @@ class TestCertify:
         code, _, err = run_cli(capsys, "certify", "--p", "1", *argv.split())
         assert code == 2
         assert f"hypothesis violation ({part})" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--construction lemma --family lebesgue --d 5 --v 0.5 --R 1",
+            "--construction decp --family restricted-lebesgue --d 20",
+            "--construction decp-generalized --family power --t 0.88 --d 25"
+            " --t0 0.08 --t1 0.15",
+            "--construction doubling --t 0.99 --c 1.2 --d 50",
+            "--construction lebesgue-ball --d 10",
+        ],
+        ids=["lemma", "decp", "decp-generalized", "doubling", "lebesgue-ball"],
+    )
+    def test_p_one_record_is_strict_json(self, capsys, argv):
+        # q is infinite at p = 1; the record prints null, not an Infinity token
+        def no_constant(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        code, out, _ = run_cli(capsys, "certify", "--p", "1", *argv.split())
+        assert code == 0
+        rec = json.loads(out, parse_constant=no_constant)
+        assert rec["p"] == 1.0 and rec["q"] is None
 
     def test_unbounded_piecewise_lemma_keeps_stderr_empty(self):
         # a numpy warning reaches stderr only outside pytest's warning
@@ -533,6 +558,7 @@ class TestRejectedInput:
                 "usage error: --d-range values must be integers, got 10.5",
             ),
             ("caps --d 10 --s-grid 0.1:inf:0.1", "usage error: bad range"),
+            ("caps --d 1 --s 0.3", "error: cap area formulas need integer dim >= 2"),
             ("certify --construction lebesgue-ball --d 5 --p 1 --config", "usage error: --config"),
             (
                 "certify --construction lebesgue-ball --d 10 --p nan",

@@ -1,104 +1,63 @@
+"""The planar cap geometry behind the analytic floors: the caps that
+B(e1, sqrt(5)/2) cuts from spheres about 0 (the decp split) and the cone
+cap of the doubling construction's middle shell."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from hlmax.errors import DegenerateCapError, DomainError
-from hlmax.geometry import cap_containment_params, doubling_cap_x2, sphere_ball_cap
+from hlmax.certificate import U_SPLIT, _doubling_cone, _split_cap
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
 
 
 class TestSphereBallCap:
     def test_level_sphere_gives_three_eighths(self):
-        for r1 in (1.0, 2.5, 1e-3):
-            cap = sphere_ball_cap(r1, r1, r1 * SQRT5_HALF)
-            assert cap.s == pytest.approx(3.0 / 8.0, abs=1e-14)
-            assert cap.t == pytest.approx(math.sqrt(55.0) / 8.0, abs=1e-14)
+        s, t = _split_cap(1.0)
+        assert s == pytest.approx(3.0 / 8.0, abs=1e-14)
+        assert t == pytest.approx(math.sqrt(55.0) / 8.0, abs=1e-14)
 
     def test_inner_sphere_cap(self):
-        cap = sphere_ball_cap(math.sqrt(2.0 / 3.0), 1.0, SQRT5_HALF)
-        assert cap.t == pytest.approx(math.sqrt(1077.0) / (24.0 * math.sqrt(2.0)), abs=1e-13)
-
-    def test_tangency_is_error(self):
-        with pytest.raises(DegenerateCapError) as exc:
-            sphere_ball_cap(1.0, 2.0, 1.0)
-        assert exc.value.case == "tangent"
-
-    def test_containment_is_error(self):
-        with pytest.raises(DegenerateCapError) as exc:
-            sphere_ball_cap(0.1, 1.0, 2.0)
-        assert exc.value.case == "contained"
-
-    def test_disjoint_is_error(self):
-        with pytest.raises(DegenerateCapError) as exc:
-            sphere_ball_cap(5.0, 1.0, 1.0)
-        assert exc.value.case == "disjoint"
-        with pytest.raises(DegenerateCapError) as exc:
-            sphere_ball_cap(0.2, 2.0, 1.0)
-        assert exc.value.case == "disjoint"
-
-    @given(
-        k=st.floats(min_value=1e-3, max_value=1e3),
-        rho=st.floats(min_value=0.3, max_value=2.0),
-    )
-    def test_scale_invariance(self, k, rho):
-        r0, h = 1.0, 1.5
-        if not abs(r0 - h) < rho < r0 + h:
-            return
-        base = sphere_ball_cap(rho, r0, h)
-        scaled = sphere_ball_cap(k * rho, k * r0, k * h)
-        assert scaled.s == pytest.approx(base.s, rel=1e-12, abs=1e-12)
-        assert scaled.t == pytest.approx(base.t, rel=1e-12, abs=1e-12)
+        _, t = _split_cap(U_SPLIT)
+        assert t == pytest.approx(math.sqrt(1077.0) / (24.0 * math.sqrt(2.0)), abs=1e-13)
 
     def test_s_monotone_in_rho_when_ball_swallows_center(self):
-        # for H >= R0 the cosine rises monotonically over the valid interval
-        r0, h = 1.0, 1.5
-        rhos = np.linspace(h - r0 + 1e-6, h + r0 - 1e-6, 200)
-        ss = [sphere_ball_cap(float(r), r0, h).s for r in rhos]
+        # H = sqrt(5)/2 >= 1, so the cosine rises over the valid interval
+        rhos = np.linspace(SQRT5_HALF - 1.0 + 1e-6, SQRT5_HALF + 1.0 - 1e-6, 200)
+        ss = [_split_cap(float(r))[0] for r in rhos]
         assert all(a < b for a, b in zip(ss, ss[1:]))
 
 
 class TestDoublingCap:
     def test_limit_at_one(self):
-        assert doubling_cap_x2(1.0 + 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert _doubling_cone(1.0 + 1e-12)[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_value_at_two(self):
-        assert doubling_cap_x2(2.0) == pytest.approx(math.sqrt(55.0) / 8.0, abs=1e-15)
+        assert _doubling_cone(2.0)[1] == pytest.approx(math.sqrt(55.0) / 8.0, abs=1e-15)
 
     def test_value_midway_and_monotone(self):
-        x = doubling_cap_x2(1.5)
+        x = _doubling_cone(1.5)[1]
         assert math.sqrt(55.0) / 8.0 < x < 1.0
         grid = np.linspace(1.0 + 1e-9, 2.0, 1000)
-        vals = [doubling_cap_x2(float(c)) for c in grid]
+        vals = [_doubling_cone(float(c))[1] for c in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            doubling_cap_x2(1.0)
-        with pytest.raises(DomainError):
-            doubling_cap_x2(2.1)
-
     def test_c2_cone_coincides_with_unit_sphere_cap(self):
-        cone = cap_containment_params(2.0)
-        cap = sphere_ball_cap(1.0, 1.0, SQRT5_HALF)
-        assert cone.s == pytest.approx(cap.s, abs=1e-14)
-        assert cone.t == pytest.approx(cap.t, abs=1e-14)
-        assert cone.s ** 2 + cone.t ** 2 == pytest.approx(1.0, abs=1e-14)
+        cone_s, cone_t = _doubling_cone(2.0)
+        s, t = _split_cap(1.0)
+        assert cone_s == pytest.approx(s, abs=1e-14)
+        assert cone_t == pytest.approx(t, abs=1e-14)
+        assert cone_s ** 2 + cone_t ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 class TestContainmentParams:
     def test_c12(self):
-        cone = cap_containment_params(1.2)
-        assert cone.s == pytest.approx(0.44 / 4.8, abs=1e-12)
-        assert cone.cone
+        assert _doubling_cone(1.2)[0] == pytest.approx(0.44 / 4.8, abs=1e-12)
 
     def test_hemisphere_limit(self):
-        cone = cap_containment_params(1.0 + 1e-12)
-        assert cone.s == pytest.approx(0.0, abs=1e-9)
-        assert cone.t == pytest.approx(1.0, abs=1e-9)
+        s, t = _doubling_cone(1.0 + 1e-12)
+        assert s == pytest.approx(0.0, abs=1e-9)
+        assert t == pytest.approx(1.0, abs=1e-9)
 
 
 class TestThreePieceSplit:

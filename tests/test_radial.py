@@ -663,6 +663,8 @@ _L3 = RadialDensity.lebesgue(3)
         (lambda: growth_h(_L3, 0.5, [math.nan]), "must be positive"),
         (lambda: _offcenter_logs(_L3, [1.0, 1.0], [1.0, math.nan]), "must be positive"),
         (lambda: _offcenter_logs(_L3, [1.0, math.nan], [1.0, 1.0]), "center radius"),
+        (lambda: _offcenter_logs(_L3, 1.0, [1.0], [math.nan]), "cap radius"),
+        (lambda: _offcenter_logs(_L3, 1.0, [1.0], [-1.0]), "cap radius"),
         (lambda: empirical_weak_ratio(_L3, math.nan, 0.5, 1.0), r"p in \[1, inf\)"),
         (lambda: maximal_sweep(_L3, 0.5, math.nan, [0.5], 0), "R > 0"),
         (lambda: maximal_sweep(_L3, 0.5, 1.0, [0.5, math.nan], 0), "eval_radius"),
@@ -671,7 +673,8 @@ _L3 = RadialDensity.lebesgue(3)
     ],
     ids=[
         "origin-ball-radius", "offcenter-radius", "offcenter-center", "growth-radius",
-        "batch-radius", "batch-center", "weak-ratio-p", "sweep-R", "sweep-point",
+        "batch-radius", "batch-center", "batch-cap-nan", "batch-cap-negative",
+        "weak-ratio-p", "sweep-R", "sweep-point",
         "besicovitch-nan-p", "besicovitch-inf-p",
     ],
 )

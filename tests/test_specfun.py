@@ -11,7 +11,6 @@ from scipy import special
 import hlmax.specfun as specfun
 from hlmax.errors import DomainError, NumericalError
 from hlmax.specfun import (
-    CapSpec,
     cap_area_bounds,
     cap_area_exact,
     gamma_ratio_bounds_hold,
@@ -110,53 +109,52 @@ class TestBallAndSphere:
 class TestCapExact:
     def test_hemisphere(self):
         for d in (2, 5, 100, 2000):
-            cap = CapSpec.from_cos(d, 0.0)
-            assert cap_area_exact(cap) == pytest.approx(
+            assert cap_area_exact(d, 0.0) == pytest.approx(
                 math.log(0.5), abs=1e-13
             )
 
     def test_circle_arc(self):
         for theta in (0.1, math.pi / 3, 1.2, 1.5):
-            cap = CapSpec(2, math.cos(theta), math.sin(theta))
-            assert cap_area_exact(cap) == pytest.approx(
+            assert cap_area_exact(2, math.cos(theta)) == pytest.approx(
                 math.log(theta / math.pi), abs=1e-12
             )
 
     def test_d10_against_direct_quadrature(self):
-        cap = CapSpec.from_cos(10, 0.5)
-        exact = cap_area_exact(cap)
+        exact = cap_area_exact(10, 0.5)
         oracle = math.log(normalized_cap_by_quadrature(10, 0.5))
         assert exact == pytest.approx(oracle, abs=1e-11)
-        lo, hi = cap_area_bounds(cap)
+        lo, hi = cap_area_bounds(10, 0.5)
         assert lo < exact < hi
 
     def test_against_scipy_betainc(self):
         # same identity through an entirely separate implementation
         for d, s in [(3, 0.2), (17, 0.7), (101, 0.3), (400, 0.9)]:
-            cap = CapSpec.from_cos(d, s)
-            ours = cap_area_exact(cap)
-            ref = math.log(0.5 * special.betainc(0.5 * (d - 1), 0.5, cap.t ** 2))
+            ours = cap_area_exact(d, s)
+            ref = math.log(0.5 * special.betainc(0.5 * (d - 1), 0.5, (1.0 - s) * (1.0 + s)))
             assert ours == pytest.approx(ref, abs=1e-11)
 
     def test_decreasing_in_s_and_d(self):
         vals = [
-            cap_area_exact(CapSpec.from_cos(30, s))
+            cap_area_exact(30, s)
             for s in np.linspace(0.05, 0.95, 10)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         vals_d = [
-            cap_area_exact(CapSpec.from_cos(d, 0.4))
+            cap_area_exact(d, 0.4)
             for d in (2, 3, 5, 10, 50, 400)
         ]
         assert all(a > b for a, b in zip(vals_d, vals_d[1:]))
 
     def test_capspec_validation(self):
-        with pytest.raises(DomainError):
-            CapSpec(1, 0.5, math.sqrt(0.75))
-        with pytest.raises(DomainError):
-            CapSpec(3, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            CapSpec(3, 1.0, 0.0)
+        # a cap needs integer dim >= 2 and s in [0, 1)
+        with pytest.raises(DomainError, match="dim >= 2"):
+            cap_area_exact(1, 0.5)
+        with pytest.raises(DomainError, match="dim >= 2"):
+            cap_area_bounds(1, 0.5)
+        with pytest.raises(DomainError, match=r"\[0, 1\)"):
+            cap_area_exact(3, 1.0)
+        with pytest.raises(DomainError, match=r"\[0, 1\)"):
+            cap_area_exact(3, math.nan)
 
 
 def test_betacf_non_convergence_is_a_numerical_error(monkeypatch):
@@ -260,35 +258,31 @@ class TestCapFractionHighD:
 class TestCapBounds:
     def test_main_configuration_brackets_exact(self):
         # the cap with cos = 3/8, sin = sqrt(55)/8 at d = 100
-        cap = CapSpec(100, 3.0 / 8.0, math.sqrt(55.0) / 8.0)
-        lo, hi = cap_area_bounds(cap)
-        exact = cap_area_exact(cap)
+        lo, hi = cap_area_bounds(100, 3.0 / 8.0)
+        exact = cap_area_exact(100, 3.0 / 8.0)
         assert lo <= exact <= hi
 
     def test_circle_case_brackets_third(self):
-        cap = CapSpec(2, 0.5, math.sqrt(3.0) / 2.0)
-        lo, hi = cap_area_bounds(cap)
+        lo, hi = cap_area_bounds(2, 0.5)
         third = math.log(1.0 / 3.0)
         assert lo <= third <= hi
 
     def test_d50_high_s(self):
-        cap = CapSpec.from_cos(50, 0.9)
-        lo, hi = cap_area_bounds(cap)
-        exact = cap_area_exact(cap)
+        lo, hi = cap_area_bounds(50, 0.9)
+        exact = cap_area_exact(50, 0.9)
         assert lo <= exact <= hi
 
     def test_s_zero_rejected(self):
         with pytest.raises(DomainError):
-            cap_area_bounds(CapSpec.from_cos(5, 0.0))
+            cap_area_bounds(5, 0.0)
 
     def test_sandwich_sweep_wide(self):
         # the full-width d sweep; the dense version runs in the acceptance suite
         s_grid = np.linspace(0.02, 0.99, 50)
         for d in (2, 3, 5, 10, 31, 100, 316, 1000, 2000):
             for s in s_grid:
-                cap = CapSpec.from_cos(d, float(s))
-                lo, hi = cap_area_bounds(cap)
-                exact = cap_area_exact(cap)
+                lo, hi = cap_area_bounds(d, float(s))
+                exact = cap_area_exact(d, float(s))
                 assert lo - 1e-10 <= exact <= hi + 1e-10
 
 
