@@ -11,12 +11,13 @@ For each of the three workloads, pair k = 1..10 runs ``perfbench/run.py
 parent first on odd k and the change first on even k, so a drift of the
 host falls on both sides alike (about 45 minutes in all). A side's figure
 is its median over the pairs. The file also lists every run's value of
-each end-to-end metric and every run's passes, the pairs the change wins on
-wall_s, the parent's wall_s quartiles, the change against the parent, a
-verdict per end-to-end metric (see ``verdict``; any but ``ok`` is also
-printed to stderr), the per-layer metrics of one traced run a side
-(seed 1), and each side against the change side of the previous
-BENCH_*.json. perfbench itself is only run, never changed.
+each end-to-end metric and every run's passes, for every end-to-end metric
+the pairs the change wins and the parent's quartiles (see ``pair_stats``),
+the change against the parent, a verdict per end-to-end metric (see
+``verdict``; any but ``ok`` is also printed to stderr), the per-layer
+metrics of one traced run a side (seed 1), and each side against the
+change side of the previous BENCH_*.json. perfbench itself is only run,
+never changed.
 """
 from __future__ import annotations
 
@@ -102,6 +103,24 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "ok"
 
 
+def pair_stats(parent: list[float], change: list[float], better: str) -> dict:
+    """How one end-to-end metric's pairs read: ``change_wins``, the pairs
+    (runs of the same seed) in which the change is better in the direction
+    ``better`` ("lower" or "higher"); the parent's quartiles; and
+    ``gain_shown``, whether a claimed gain holds: the change wins all but at
+    most one pair in ten, and its median is better than the parent's by more
+    than the parent's quartile spread."""
+    sign = -1.0 if better == "higher" else 1.0  # lower is better below
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gain = sign * (statistics.median(parent) - statistics.median(change))
+    return {
+        "change_wins": wins,
+        "parent_quartiles": [float(f"{q1:.4g}"), float(f"{q3:.4g}")],
+        "gain_shown": 10 * wins >= 9 * len(parent) and gain > q3 - q1,
+    }
+
+
 def medians(runs: list[dict]) -> dict:
     return {name: float(f"{statistics.median(r[name] for r in runs):.4g}") for name in runs[0]}
 
@@ -163,12 +182,10 @@ def main() -> int:
             # peak RSS grows with the passes a run keeps, so they are listed
             # run by run too
             entry["passes_runs"] = passes
-            walls = entry["runs"]["wall_s"]
-            q1, _, q3 = statistics.quantiles(walls["parent"], n=4)
-            entry["wall_s_change_wins"] = sum(
-                c < p for p, c in zip(walls["parent"], walls["change"])
-            )
-            entry["parent_wall_s_quartiles"] = [float(f"{q1:.4g}"), float(f"{q3:.4g}")]
+            entry["pair_stats"] = {
+                m["name"]: pair_stats(**entry["runs"][m["name"]], better=m["better"])
+                for m in bench["end_to_end"]
+            }
             entry["change_vs_parent"] = {
                 k: percent(entry["change"][k], entry["parent"][k]) for k in entry["parent"]
             }

@@ -38,7 +38,7 @@ from .certificate import (
 from .errors import DomainError, HypothesisViolationError, NumericalError
 from .oracle import MAX_ORACLE_DIM, run_oracle
 from .radial import RadialDensity, parse_kv, parse_segments
-from .specfun import cap_area_bounds, cap_area_exact
+from .specfun import cap_area_bounds, log_cap_fraction
 
 OUTPUT_DIR_ENV = "HLMAX_OUTPUT_DIR"
 
@@ -280,11 +280,14 @@ def cmd_caps(args) -> int:
     if args.s is None and not args.s_grid:
         raise UsageError("caps needs --s or --s-grid")
     svals = [args.s] if args.s is not None else _range_spec(args.s_grid)
-    records = []
     for s in svals:
         if not (0.0 <= s < 1.0):
             raise UsageError(f"s must lie in [0, 1), got {s}")
-        exact = cap_area_exact(args.d, s)
+    if args.d < 2:
+        raise DomainError(f"cap area formulas need integer dim >= 2, got {args.d}")
+    # the whole grid in one kernel call, with the bits of one call per s
+    records = []
+    for s, exact in zip(svals, log_cap_fraction(args.d, svals).tolist()):
         if s > 0.0:
             lo, hi = cap_area_bounds(args.d, s)
             ok = lo - 1e-10 <= exact <= hi + 1e-10

@@ -10,17 +10,19 @@ beta ``betainc``) so the two code paths share no intermediate values. The
 QUADPACK functions import scipy.integrate and scipy.special themselves:
 the import takes about 0.65 s, which only `oracle` should pay.
 
-``maximal_sweep`` evaluates many points at once. Each point's radius grid is
-one quadrature call that carries the numerator (capped at vR) of every grid
-ball and the denominator of every ball that meets B(0, vR); the
-golden-section refinements then run in lockstep, one call for the first two
-probes and one per step for every point still refining, with each
-distinct ball measured once a call. ``run_oracle`` makes one sweep at
-every d <= 10: R e1 (20 steps) first, then, for d <= 6, the level-set
-points (12 steps), so ``oracle --samples 2`` makes 24 quadrature calls and
-``--samples 20`` 42. R is also the first level-set point, so its two lanes
-share their balls for 12 steps. The library's radius grid has 64
-radii by default; the CLI asks for 128.
+``maximal_sweep`` evaluates many points at once. The radius grids of all
+points are one quadrature call (up to ``_MAX_GRID_POINTS`` points a call)
+that carries the numerator (capped at vR) of every grid ball and the
+denominator of every ball that meets B(0, vR); the golden-section
+refinements then run in lockstep, one call for the first two probes and one
+per step for every point still refining, with each distinct ball measured
+once a call. ``run_oracle`` makes one sweep at every d <= 10: R e1 (20
+steps) first, then, for d <= 6, the level-set points (12 steps), so
+``oracle --samples 2`` makes 23 quadrature calls and ``--samples 20`` 23
+too. R is also the first level-set point, so its two lanes share their
+balls for 12 steps. The library's radius grid has 64 radii by default; the
+CLI asks for 128. The QUADPACK integrands read the density through the
+scalar ``RadialDensity.f_at``.
 """
 from __future__ import annotations
 
@@ -42,6 +44,9 @@ LEVEL_SET_REFINE = 12
 LEVEL_SET_SLACK = 1e-6  # log units: M >= alpha is checked as M >= alpha - slack
 DUAL_PATH_TOL = 1e-6
 _ORACLE_REL_TOL = 1e-7
+# points per grid call: more points are measured in several calls, so the
+# panels of one call stay bounded however many samples a request draws
+_MAX_GRID_POINTS = 32
 
 
 def _ratio_logs(density, v_radius, centers, rs):
@@ -87,9 +92,12 @@ def maximal_sweep(
 
     The supremum over ball radii is approximated by a log-spaced grid over
     [1e-3 vR, 10 (R+H)] plus golden-section refinement around each point's
-    argmax; every result is a lower estimate by construction. Each distinct
-    norm gets its own grid call (numerators and denominators of its ``grid``
-    radii together). The refinements run in lockstep: one call per step
+    argmax; every result is a lower estimate by construction. The grids of
+    all distinct norms share one call (numerators and denominators of their
+    ``grid`` radii together), ``_MAX_GRID_POINTS`` norms at most; the
+    zero-measure check and the argmax are per norm. Balls of one call are
+    independent jobs, so a norm's grid has the bits of a call of its own.
+    The refinements run in lockstep: one call per step
     carries one radius for every point still refining, and a ball that two
     lanes probe together is measured once.
     """
@@ -107,18 +115,25 @@ def maximal_sweep(
     H = R * math.sqrt(1.0 + v * v)
     rs = np.geomspace(1e-3 * v * R, 10.0 * (R + H), grid)
     points, point_of = np.unique(eval_radii, return_inverse=True)
-    best = np.empty(len(points))
-    bracket = np.empty((len(points), 2))
-    for k, rho in enumerate(points):
-        ratios, dens = _ratio_logs(density, v * R, np.full(grid, rho), rs)
+    n = len(points)
+    ratios = np.empty((n, grid))
+    dens = np.empty((n, grid))
+    for start in range(0, n, _MAX_GRID_POINTS):
+        chunk = points[start:start + _MAX_GRID_POINTS]
+        vals, dvals = _ratio_logs(density, v * R, np.repeat(chunk, grid), np.tile(rs, len(chunk)))
+        ratios[start:start + len(chunk)] = vals.reshape(-1, grid)
+        dens[start:start + len(chunk)] = dvals.reshape(-1, grid)
+    best = np.empty(n)
+    bracket = np.empty((n, 2))
+    for k, rho in enumerate(points.tolist()):
         # every grid ball lies in the largest, whose denominator the skip in
         # _ratio_logs passes over only when it misses B(0, vR)
-        if not np.any(dens > NEG_INF) and (
+        if not np.any(dens[k] > NEG_INF) and (
             _offcenter_logs(density, rho, rs[-1:], None, _ORACLE_REL_TOL)[0] == NEG_INF
         ):
             raise DomainError("every grid radius gives a zero-measure ball")
-        i = int(np.argmax(ratios))
-        best[k] = ratios[i]
+        i = int(np.argmax(ratios[k]))
+        best[k] = ratios[k, i]
         bracket[k] = (math.log(rs[max(i - 1, 0)]), math.log(rs[min(i + 1, grid - 1)]))
     best = best[point_of]
 
@@ -164,9 +179,10 @@ def _sphere_area_linear(d: int) -> float:
     return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
 
 
-def _cap_fraction(d: int, s: float) -> float:
+def _cap_fraction(d: int, s: float, betainc) -> float:
     """Cap fraction {cos angle >= s} of the sphere by scipy's regularized
-    incomplete beta: 1/2 I_{1-s^2}((d-1)/2, 1/2) for s > 0 and one minus
+    incomplete beta ``betainc`` (passed in, so a QUADPACK integrand imports
+    it once a call): 1/2 I_{1-s^2}((d-1)/2, 1/2) for s > 0 and one minus
     that for s < 0. Where s^2 < 1/2 it uses the complement
     1/2 - sign(s)/2 I_{s^2}(1/2, (d-1)/2) instead, since 1 - s^2 rounds
     near s = 0 (a relative error of 1e-8 at |s| = 1e-8)."""
@@ -176,8 +192,6 @@ def _cap_fraction(d: int, s: float) -> float:
         return 0.0
     if d == 1:
         return 0.5
-    from scipy.special import betainc
-
     a = 0.5 * (d - 1)
     if s * s < 0.5:
         return 0.5 - math.copysign(0.5 * float(betainc(0.5, a, s * s)), s)
@@ -194,7 +208,7 @@ def _mass_origin_quad(density: RadialDensity, radius: float) -> float:
     d = density.dim
     pts = [x for x in density.breakpoints if 0.0 < x < hi] or None
     val, _ = _si.quad(
-        lambda r: float(density.f(r)) * r ** (d - 1),
+        lambda r: density.f_at(r) * r ** (d - 1),
         0.0,
         hi,
         points=pts,
@@ -212,14 +226,15 @@ def _mass_offcenter_quad(density: RadialDensity, center: float, r: float) -> flo
     if hi <= lo:
         return 0.0
 
+    from scipy import integrate as _si
+    from scipy.special import betainc
+
     def integrand(rho: float) -> float:
         s = (rho * rho + center * center - r * r) / (2.0 * rho * center)
-        frac = _cap_fraction(d, s)
+        frac = _cap_fraction(d, s, betainc)
         if frac == 0.0:
             return 0.0
-        return float(density.f(rho)) * rho ** (d - 1) * frac
-
-    from scipy import integrate as _si
+        return density.f_at(rho) * rho ** (d - 1) * frac
 
     pts = [x for x in density.breakpoints if lo < x < hi]
     if lo < r - center < hi:

@@ -186,6 +186,24 @@ class RadialDensity:
         """f(r) in linear scale (for low-dimensional brute-force work)."""
         return np.exp(self.log_f(r))
 
+    def f_at(self, r: float) -> float:
+        """f(r) at one radius r > 0: ``log_f`` branch for branch with the
+        same numpy ufuncs on a float, so it equals ``float(self.f(r))`` bit
+        for bit without the array overhead (QUADPACK integrands)."""
+        if len(self.pieces) == 1:
+            end, coef, k, _ = self.pieces[0]
+            inside = math.log(coef)
+            if k != 0.0:
+                inside = inside - k * np.log(r)
+            return float(np.exp(inside)) if r <= end else 0.0
+        if self.family == LOG_SINGULARITY:
+            return float(np.exp(np.log(-np.log(r)))) if r < 1.0 else 0.0
+        for end, coef, k, _ in self.pieces:
+            if r <= end:
+                # a zero piece is -inf in log_f, whose exp is 0
+                return float(np.exp(math.log(coef) - k * np.log(r))) if coef > 0.0 else 0.0
+        return 0.0
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -387,10 +405,15 @@ def _offcenter_logs(
     center is the origin) contribute a radial mass instead; the masses of
     all balls come from one batched computation.
 
-    At d = 2 the cap fraction arccos(s)/pi has a square-root endpoint where
-    a sphere touches the ball's boundary (s = ±1), so each radial segment
-    [mid - half, mid + half] is integrated in theta over [-pi/2, pi/2],
-    with rho = mid + half sin theta and the Jacobian half cos theta.
+    Where a sphere touches the ball's boundary (s = ±1) the cap fraction
+    has a square-root endpoint at d = 2 (arccos(s)/pi) and a (1 - s)^(3/2)
+    one at d = 4 ((phi - sin phi)/(2 pi)), which cost refinement rounds in
+    rho. At these d each radial segment [mid - half, mid + half] is
+    integrated in theta over [-pi/2, pi/2], with rho = mid + half sin theta
+    and the Jacobian half cos theta, which makes both endpoints smooth, so an
+    oracle call converges in its first round. At odd d the endpoint power
+    (d - 1)/2 is whole, and from d = 6 on it is high enough that an oracle
+    call in rho averages at most about 1.13 rounds.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all(radii > 0.0):
@@ -433,7 +456,8 @@ def _offcenter_logs(
     if len(seg_a):
         n_init = max(8, min(48, int(2.0 * math.sqrt(d))))
         k = np.arange(n_init)
-        if d == 2:
+        theta = d in (2, 4)
+        if theta:
             step = math.pi / n_init
             left = np.tile(-0.5 * math.pi + k * step, len(seg_a))
             right = np.tile(-0.5 * math.pi + (k + 1) * step, len(seg_a))
@@ -449,7 +473,7 @@ def _offcenter_logs(
         def logf(x, t):
             r0 = seg_r0[t]
             r = seg_r[t]
-            rho = mid[t] + half[t] * np.sin(x) if d == 2 else x
+            rho = mid[t] + half[t] * np.sin(x) if theta else x
             s = (rho * rho + r0 * r0 - r * r) / (2.0 * rho * r0)
             with np.errstate(divide="ignore"):
                 val = (
@@ -457,7 +481,7 @@ def _offcenter_logs(
                     + (d - 1) * np.log(rho)
                     + log_cap_fraction(d, np.clip(s, -1.0, 1.0))
                 )
-                if d == 2:
+                if theta:
                     val += np.log(half[t] * np.cos(x))
             return val
 

@@ -40,3 +40,29 @@ PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
 )
 def test_verdict(parent, change, better, want):
     assert bench.verdict(parent, change, better, 0.25) == want
+
+
+@pytest.mark.parametrize(
+    "change, better, wins, shown",
+    [
+        # 20 % lower on every pair: a gain far past the quartile spread
+        ([0.8 * x for x in PARENT], "lower", 10, True),
+        # the same runs read as a loss where higher is better
+        ([0.8 * x for x in PARENT], "higher", 0, False),
+        # 9 of 10 pairs won, median 2 below a quartile spread of 0.2
+        ([x - 2.0 for x in PARENT[:-1]] + [11.0], "lower", 9, True),
+        # 8 of 10 pairs won: too few, however large the gain
+        ([x - 2.0 for x in PARENT[:-2]] + [11.0, 11.0], "lower", 8, False),
+        # every pair won by 0.05, inside the parent's quartile spread
+        ([x - 0.05 for x in PARENT], "lower", 10, False),
+        # higher is better: more records a second on every pair
+        ([x + 5.0 for x in PARENT], "higher", 10, True),
+    ],
+    ids=["lower-all", "lower-read-as-higher", "nine-of-ten", "eight-of-ten",
+         "inside-spread", "higher-all"],
+)
+def test_pair_stats(change, better, wins, shown):
+    stats = bench.pair_stats(PARENT, change, better)
+    assert stats["change_wins"] == wins
+    assert stats["parent_quartiles"] == [9.875, 10.12]
+    assert stats["gain_shown"] is shown

@@ -15,6 +15,7 @@ import hlmax.cli as cli
 from hlmax.certificate import critical_p, decp_explicit_constant
 from hlmax.cli import main
 from hlmax.errors import NumericalError, QuadraturePrecisionError
+from hlmax.specfun import cap_area_exact
 
 
 def run_cli(capsys, *args):
@@ -536,6 +537,20 @@ class TestCaps:
     def test_bad_s_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "caps", "--d", "10", "--s", "1.2")
         assert code == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 50, 300, 1000, 4500])
+    def test_grid_has_the_bits_of_one_call_per_s(self, capsys, d):
+        # the grid is one kernel call, and each row the value of its s alone
+        code, out, _ = run_cli(capsys, "caps", "--d", str(d), "--s-grid", "0:0.99:0.03")
+        assert code == 0
+        recs = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(recs) == 34
+        assert all(r["log_exact"] == cap_area_exact(d, r["s"]) for r in recs)
+
+    def test_one_dimension_is_rejected_at_s_zero(self, capsys):
+        code, _, err = run_cli(capsys, "caps", "--d", "1", "--s", "0")
+        assert code == 1
+        assert "cap area formulas need integer dim >= 2, got 1" in err
 
 
 class TestRejectedInput:

@@ -131,13 +131,17 @@ class TestWork:
 
     @pytest.mark.parametrize("samples, budget", [(2, 30), (20, 50)])
     def test_quadrature_calls_per_request(self, capsys, monkeypatch, samples, budget):
-        # one grid call per point, one call for the two first golden-section
-        # probes and one per step for all points: 24 and 42 calls
+        # one grid call for all points, one call for the two first
+        # golden-section probes and one per step for all points: 23 calls
         assert 0 < self._oracle_calls(capsys, monkeypatch, samples) <= budget
 
-    def test_two_samples_make_24_calls(self, capsys, monkeypatch):
-        # two grid calls, 21 golden-section calls, one for the certificate
-        assert self._oracle_calls(capsys, monkeypatch, 2) == 24
+    def test_two_samples_make_23_calls(self, capsys, monkeypatch):
+        # one grid call, 21 golden-section calls, one for the certificate
+        assert self._oracle_calls(capsys, monkeypatch, 2) == 23
+
+    def test_twenty_samples_make_23_calls(self, capsys, monkeypatch):
+        # the grid call carries all 20 points
+        assert self._oracle_calls(capsys, monkeypatch, 20) == 23
 
     def test_r_is_swept_once(self, capsys, monkeypatch):
         # R e1 (20 steps) is also the first level-set point (12 steps): for
@@ -155,9 +159,32 @@ class TestWork:
         argv = ["oracle", "--family", "lebesgue", "--d", "3", "--samples", "2"]
         assert main(argv) == 0
         capsys.readouterr()
-        # two grid calls, both first probes of 2 points, 12 steps of 2
-        # points, 8 steps of R alone
-        assert sizes[2:] == [8] + [4] * 12 + [2] * 8
+        # one grid call of 2 x 128 balls with their denominators, both
+        # first probes of 2 points, 12 steps of 2 points, 8 steps of R alone
+        assert 2 * 128 < sizes[0] <= 2 * 2 * 128
+        assert sizes[1:] == [8] + [4] * 12 + [2] * 8
+
+    def test_d4_calls_converge_in_one_round(self, monkeypatch):
+        # in theta the (1 - s)^(3/2) endpoint of the d = 4 cap fraction is
+        # smooth, so no call needs a refinement round
+        from hlmax import quadrature
+
+        rounds = []
+        inner_call, inner_eval = radial.log_integrate_batch, quadrature._eval_panels
+
+        def counted_call(*args, **kwargs):
+            rounds.append(0)
+            return inner_call(*args, **kwargs)
+
+        def counted_eval(*args):
+            rounds[-1] += 1
+            return inner_eval(*args)
+
+        monkeypatch.setattr(radial, "log_integrate_batch", counted_call)
+        monkeypatch.setattr(quadrature, "_eval_panels", counted_eval)
+        argv = ["oracle", "--family", "power", "--t", "0.5", "--d", "4", "--samples", "2"]
+        assert main(argv) == 0
+        assert rounds == [1] * 23
 
     def test_dual_path_makes_no_nested_quadrature(self, monkeypatch):
         # two origin masses and one off-center mass whose angular factor is
@@ -185,6 +212,8 @@ class TestWork:
 class TestDualPathCap:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_betainc_matches_specfun(self, d):
+        from scipy.special import betainc
+
         # uniform draws, |s| from 1e-16 to 0.1 on either side of 0 (where
         # 1 - s^2 rounds) and distances from 1e-16 to 0.1 to s = +-1
         rng = np.random.default_rng(d)
@@ -192,14 +221,16 @@ class TestDualPathCap:
         s = np.concatenate([rng.uniform(-1.0, 1.0, 400), small, -small, 1.0 - small, small - 1.0])
         s = s[(s > -1.0) & (s < 1.0)]
         want = np.exp(log_cap_fraction(d, s))
-        got = np.array([oracle._cap_fraction(d, float(v)) for v in s])
+        got = np.array([oracle._cap_fraction(d, float(v), betainc) for v in s])
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
     def test_extremes(self):
-        assert oracle._cap_fraction(3, -1.0) == 1.0
-        assert oracle._cap_fraction(3, 1.0) == 0.0
-        assert oracle._cap_fraction(3, 0.0) == 0.5
-        assert oracle._cap_fraction(1, 0.3) == 0.5
+        from scipy.special import betainc
+
+        assert oracle._cap_fraction(3, -1.0, betainc) == 1.0
+        assert oracle._cap_fraction(3, 1.0, betainc) == 0.0
+        assert oracle._cap_fraction(3, 0.0, betainc) == 0.5
+        assert oracle._cap_fraction(1, 0.3, betainc) == 0.5
 
 
 def _ratio_logs_every_denominator(density, v_radius, centers, rs):

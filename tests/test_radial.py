@@ -174,6 +174,31 @@ class TestGrowth:
         assert -1e-9 <= h <= -d * math.log(u) + 1e-9
 
 
+def _mp_log_lens_4d(c, r):
+    """log mu(B(c e1, r)) for restricted Lebesgue at d = 4, with 40-digit
+    mpmath: the radial integral of rho^3 times the cap fraction
+    (phi - sin phi)/(2 pi), phi = 2 arccos s, times |S^3| = 2 pi^2."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c, r = mpmath.mpf(c), mpmath.mpf(r)
+
+        def frac(rho):
+            s = (rho * rho + c * c - r * r) / (2 * rho * c)
+            if s >= 1:
+                return mpmath.mpf(0)
+            if s <= -1:
+                return mpmath.mpf(1)
+            phi = 2 * mpmath.acos(s)
+            return (phi - mpmath.sin(phi)) / (2 * mpmath.pi)
+
+        edges = [max(c - r, 0), min(c + r, 1)]
+        if edges[0] < r - c < edges[1]:  # whole spheres inside below r - c
+            edges.insert(1, r - c)
+        mass = mpmath.quad(lambda rho: rho**3 * frac(rho), edges)
+        return float(mpmath.log(2 * mpmath.pi**2 * mass))
+
+
 class TestOffCenter:
     def test_reduces_to_origin_ball(self):
         leb = RadialDensity.lebesgue(3)
@@ -201,6 +226,34 @@ class TestOffCenter:
         monkeypatch.setattr(radial, "log_cap_fraction", counted)
         log_ball_offcenter(RadialDensity.restricted_lebesgue(2), 1.0, math.sqrt(1.25))
         assert 0 < nodes[0] <= 150
+
+    def test_four_dimensional_ball_node_budget(self, monkeypatch):
+        # the README's example ball at d = 4: in theta the first 8 panels
+        # converge, 120 nodes in one round (210 nodes in 4 rounds in rho)
+        nodes = [0]
+        inner = radial.log_cap_fraction
+
+        def counted(d, s):
+            nodes[0] += np.size(s)
+            return inner(d, s)
+
+        monkeypatch.setattr(radial, "log_cap_fraction", counted)
+        log_ball_offcenter(RadialDensity.restricted_lebesgue(4), 1.0, math.sqrt(1.25))
+        assert nodes[0] == 120
+
+    @pytest.mark.parametrize(
+        "c, r", [(0.5, 0.2), (0.5, 0.9), (1.0, 0.5), (1.0, 1.5), (2.0, 0.5), (3.0, 1.0)]
+    )
+    def test_four_dimensional_ball_is_exact(self, c, r):
+        # Lebesgue: pi^2 r^4 / 2 wherever the center is
+        got = log_ball_offcenter(RadialDensity.lebesgue(4), c, r)
+        assert got == pytest.approx(math.log(math.pi**2 * r**4 / 2.0), rel=1e-14, abs=0.0)
+
+    # (0.6, 0.4) touches the unit sphere from inside
+    @pytest.mark.parametrize("c, r", [(0.5, 0.3), (0.9, 0.2), (0.2, 0.5), (1.2, 0.3), (0.6, 0.4)])
+    def test_four_dimensional_lens_matches_mpmath(self, c, r):
+        got = log_ball_offcenter(RadialDensity.restricted_lebesgue(4), c, r)
+        assert got == pytest.approx(_mp_log_lens_4d(c, r), rel=1e-14, abs=0.0)
 
     def test_halfspace_cap_domination(self):
         # mu(B(e1, sqrt5/2)) <= 2 lambda(B^d ∩ {x1 >= 3/8}) for unit-ball measure
@@ -593,6 +646,31 @@ class TestPowerLawTable:
                 assert radial._mass_closed(dens, c) == pytest.approx(
                     want, rel=1e-14, abs=1e-14
                 ), (dens, c)
+
+
+class TestScalarDensity:
+    def test_f_at_has_the_bits_of_f(self):
+        d = 4
+        densities = [make(d) for make in _BATCH_FAMILIES] + [
+            # an unbounded last piece after a zero-free table
+            RadialDensity.piecewise(d, [(0.5, 2.0), (1.5, 0.5, 0.7), (math.inf, 0.1, 1.9)]),
+            # two zero pieces beyond the support
+            RadialDensity.piecewise(d, [(1.0, 1.0, 0.5), (2.0, 0.0), (3.0, 0.0, 1.0)]),
+        ]
+        rng = np.random.default_rng(d)
+        drawn = 10.0 ** rng.uniform(-8.0, 3.0, 10_000)
+        for dens in densities:
+            ends = dens.breakpoints
+            # at, just below and just past each breakpoint, and far beyond
+            edges = [x for e in ends for x in (e, np.nextafter(e, 0.0), np.nextafter(e, 2 * e))]
+            radii = np.concatenate([drawn, edges, [5e-324, 1e300, math.inf]]).tolist()
+            with np.errstate(over="ignore"):  # f(5e-324) of a power law is inf
+                got = np.array([dens.f_at(r) for r in radii])
+                want = np.array([float(dens.f(r)) for r in radii])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), dens
+
+    def test_f_at_returns_a_float(self):
+        assert type(RadialDensity.power(3, 0.5).f_at(0.5)) is float
 
 
 class TestBatchedQuadrature:
