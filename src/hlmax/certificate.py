@@ -19,8 +19,8 @@ reported bound is fully numeric.
 The decp constructions first check a growth hypothesis on
 h_u(R) = mu(B(0,R)) / mu(B(0,uR)), whose limsup part the last radius of a
 grid decides exactly, and pick R1 by a grid, golden-section and bisection
-search; each step of that search evaluates h_u at all of its radii in one
-``growth_h`` call.
+search. The golden section and the bisection settle ``_LOOKAHEAD`` = 3
+steps per ``growth_h`` call, with the bits of one call a step.
 """
 from __future__ import annotations
 
@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyTestFunctionError, HypothesisViolationError
+from .errors import (
+    DomainError,
+    EmptyTestFunctionError,
+    HypothesisViolationError,
+    NumericalError,
+)
 from .logspace import LN2, NEG_INF, log_sum
 from .radial import (
     PIECEWISE,
@@ -258,48 +263,144 @@ _GRID_POINTS = 97  # log-spaced over 12 decades
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# steps of a sequential search settled per call of its objective: the call
+# carries the 2^3 - 1 = 7 probes the next three steps of a lane may make
+_LOOKAHEAD = 3
+_BISECTION_STEPS = 90
+
+
+def _lookahead_search(f, states, steps, probe, decide, advance):
+    """Run sequential searches in lockstep, lane i for ``steps[i]`` steps
+    unless ``advance`` stops it first, and return their final states.
+
+    A step evaluates f at ``probe(state)``, which depends on the state's
+    positions alone, takes the outcome ``decide(state, fx)`` and moves to
+    ``advance(state, fx, outcome)``, a pair (next state, go on); a probe's
+    position depends on the earlier values only through the outcomes. So
+    replaying ``advance`` with both outcomes and a NaN value gives every probe
+    the next ``_LOOKAHEAD`` steps of a lane can make, and one call
+    ``f(xs, lanes)`` evaluates them all (each (lane, probe) once). The lanes
+    then walk their steps with the returned values, so every lane takes
+    the probes, outcomes and bits of a search making one call a step. If a
+    call raises ``NumericalError``, perhaps at a probe off every lane's
+    path, that round is redone one step deep, so the search raises exactly
+    where a one-step search would.
+    """
+    states = list(states)
+    left = [int(k) for k in steps]
+    while True:
+        live = [i for i in range(len(states)) if left[i] > 0]
+        if not live:
+            return states
+        depth = min(_LOOKAHEAD, max(left[i] for i in live))
+        probes = {}
+        for i in live:
+            level = [states[i]]
+            for _ in range(min(depth, left[i])):
+                xs = [probe(s) for s in level]
+                probes.update(dict.fromkeys((i, x) for x in xs))
+                level = [
+                    nxt for s in level for out in (True, False)
+                    for nxt, more in [advance(s, math.nan, out)] if more
+                ]
+        keys = list(probes)
+        try:
+            vals = dict(zip(keys, f([x for _, x in keys], [i for i, _ in keys])))
+        except NumericalError:
+            if depth == 1:
+                raise
+            # the same step at depth 1: a call of the one-step search
+            xs = [probe(states[i]) for i in live]
+            vals = dict(zip(zip(live, xs), f(xs, live)))
+            depth = 1
+        for i in live:
+            for _ in range(min(depth, left[i])):
+                fx = vals[i, probe(states[i])]
+                states[i], more = advance(states[i], fx, decide(states[i], fx))
+                left[i] = left[i] - 1 if more else 0
+                if not more:
+                    break
+
+
+# A golden-section state is (a, b, c, d, fc, fd): the bracket, its two
+# inner probes and their values, the one still to evaluate held as None.
+
+
+def _golden_probe(state):
+    a, b, c, d, fc, fd = state
+    return c if fc is None else d
+
+
+def _golden_decide(state, fx):
+    a, b, c, d, fc, fd = state
+    return (fx if fc is None else fc) > (fx if fd is None else fd)
+
+
+def _golden_advance(state, fx, left):
+    """Fill in the pending value, then keep the left part [a, d] of the
+    bracket if ``left`` (fc > fd), else the right part [c, b]."""
+    a, b, c, d, fc, fd = state
+    fc = fx if fc is None else fc
+    fd = fx if fd is None else fd
+    if left:
+        return (a, d, d - _INVPHI * (d - a), c, None, fc), True
+    return (c, b, d, c + _INVPHI * (b - c), fd, None), True
 
 
 def golden_section_max(f, a, b, iters):
     """Golden-section searches for maxima of f on the brackets [a[i], b[i]],
     run in lockstep, each for its own number of steps ``iters[i]``.
 
-    ``f(x, lanes)`` gets a list with one probe for each bracket still
-    searching and the list of their indices, and returns their values, so
-    one call serves a whole step. The first call carries both first probes
-    of every bracket, so a lane index appears twice in it. Returns arrays of
-    x and f(x), for each bracket the better of its two final probes. A
-    log-spaced search passes the transformed variable, e.g. probes
-    ``math.exp(t)`` for t over [log lo, log hi].
+    ``f(x, lanes)`` gets a list of probes and the list of the indices of
+    their brackets, and returns their values. The first call carries both
+    first probes of every bracket; each later call settles up to
+    ``_LOOKAHEAD`` steps of every bracket still searching (see
+    ``_lookahead_search``), with the probes and bits of a search making one
+    call a step. So a lane index may appear several times in a call.
+    Returns arrays of x and f(x), for each bracket the better of its two
+    final probes. A log-spaced search passes the transformed variable, e.g.
+    probes ``math.exp(t)`` for t over [log lo, log hi].
     """
     a = [float(t) for t in a]
     b = [float(t) for t in b]
-    iters = [int(k) for k in iters]
     lanes = list(range(len(a)))
     c = [b[i] - _INVPHI * (b[i] - a[i]) for i in lanes]
     d = [a[i] + _INVPHI * (b[i] - a[i]) for i in lanes]
     first = list(f(c + d, lanes + lanes))
     fc, fd = first[:len(lanes)], first[len(lanes):]
-    for step in range(max(iters, default=0)):
-        live = [i for i in lanes if step < iters[i]]
-        up = [fc[i] > fd[i] for i in live]
-        probes = []
-        for i, left in zip(live, up):
-            if left:
-                b[i], d[i], fd[i] = d[i], c[i], fc[i]
-                c[i] = b[i] - _INVPHI * (b[i] - a[i])
-                probes.append(c[i])
-            else:
-                a[i], c[i], fc[i] = c[i], d[i], fd[i]
-                d[i] = a[i] + _INVPHI * (b[i] - a[i])
-                probes.append(d[i])
-        for i, left, val in zip(live, up, f(probes, live)):
-            if left:
-                fc[i] = val
-            else:
-                fd[i] = val
-    best = [(c[i], fc[i]) if fc[i] > fd[i] else (d[i], fd[i]) for i in lanes]
+    states = [
+        _golden_advance((a[i], b[i], c[i], d[i], fc[i], fd[i]), math.nan, fc[i] > fd[i])[0]
+        for i in lanes
+    ]
+    states = _lookahead_search(
+        f, states, iters, _golden_probe, _golden_decide, _golden_advance
+    )
+    # the point the last step kept is the better of the last two probes
+    best = [(s[3], s[5]) if s[4] is None else (s[2], s[4]) for s in states]
     return np.array([x for x, _ in best]), np.array([fx for _, fx in best])
+
+
+def _bisect_upper_boundary(f, lo, hi, threshold):
+    """Bisect [lo, hi] geometrically for the upper boundary of
+    {f >= threshold}, with f(lo) >= threshold, for ``_BISECTION_STEPS``
+    steps or until a fixed point; returns the last lo. ``f(xs, lanes)``
+    is as for ``golden_section_max`` (one lane), and a call settles up to
+    ``_LOOKAHEAD`` steps."""
+
+    def probe(state):
+        return math.sqrt(state[0] * state[1])
+
+    def advance(state, fx, up):
+        lo, hi = state
+        mid = math.sqrt(lo * hi)
+        # a fixed point: every later step would repeat this one
+        return ((mid, hi), mid != lo) if up else ((lo, mid), mid != hi)
+
+    ((r_lo, _),) = _lookahead_search(
+        f, [(lo, hi)], [_BISECTION_STEPS], probe,
+        lambda state, fx: fx >= threshold, advance,
+    )
+    return r_lo
 
 
 def _check_hypothesis_and_pick_r1(
@@ -319,10 +420,12 @@ def _check_hypothesis_and_pick_r1(
     support and Lebesgue and power are homogeneous; so the last grid radius
     decides it and is the only radius beyond the grid worth trying as R1.
 
-    Each step of the search is one ``growth_h`` call over an array of radii,
-    so one batched mass computation: the whole grid, each golden-section
-    step (one lockstep lane), each bisection step and each window check of
-    both shells."""
+    Each ``growth_h`` call takes an array of radii, so it is one batched
+    mass computation: the whole grid, the two first golden-section probes,
+    every three golden-section or bisection steps (7 radii, all those the
+    next three steps may probe) and each window check of both shells. A
+    log-singularity prepare at d = 100 makes 39 quadrature calls, 89 at
+    one call a step."""
     if not (0.0 < epsilon < 0.1):
         raise DomainError(f"epsilon must lie in (0, 1/10), got {epsilon}")
     supp = density.support_radius
@@ -395,15 +498,11 @@ def _check_hypothesis_and_pick_r1(
         if window_ok(sup_loc):
             return report, sup_loc
     for i in reversed(candidates):
-        r_lo, r_hi = float(grid[i]), float(grid[i + 1])
-        for _ in range(90):  # bisect the upper boundary of the admissible set
-            mid = math.sqrt(r_lo * r_hi)
-            if growth_h(density, u, [mid])[0] >= thr_a:
-                moved, r_lo = mid != r_lo, mid
-            else:
-                moved, r_hi = mid != r_hi, mid
-            if not moved:
-                break  # a fixed point: every later step would repeat this one
+        # bisect the upper boundary of the admissible set
+        r_lo = _bisect_upper_boundary(
+            lambda xs, lanes: growth_h(density, u, xs),
+            float(grid[i]), float(grid[i + 1]), thr_a,
+        )
         if window_ok(r_lo):
             return report, r_lo
     raise no_window

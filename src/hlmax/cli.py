@@ -52,12 +52,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _range_spec(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive stop, within half a step)."""
+def _range_spec(text: str, flag: str) -> list[float]:
+    """Parse the value 'start:stop:step' of ``flag`` (inclusive stop, within
+    half a step)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"range must look like start:stop:step, got {text!r}")
-    start, stop, step = (float(x) for x in parts)
+    try:
+        start, stop, step = (float(x) for x in parts)
+    except ValueError:
+        raise UsageError(
+            f"{flag} must be three numbers start:stop:step, got {text!r}"
+        ) from None
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise UsageError(f"bad range {text!r}")
     out = []
@@ -195,12 +201,17 @@ def cmd_certify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    ds = _range_spec(args.d_range)
+    ds = _range_spec(args.d_range, "--d-range")
     for x in ds:
         if not x.is_integer():
             raise UsageError(f"--d-range values must be integers, got {x!r}")
     ds = [int(x) for x in ds]
-    ps = [float(x) for x in args.p_list.split(",") if x.strip()]
+    try:
+        ps = [float(x) for x in args.p_list.split(",") if x.strip()]
+    except ValueError:
+        raise UsageError(
+            f"--p-list must be comma-separated numbers, got {args.p_list!r}"
+        ) from None
     if not ds or not ps:
         raise UsageError("empty d-range or p-list")
     if any(d < 1 for d in ds) or not all(1 <= p < math.inf for p in ps):
@@ -259,6 +270,8 @@ def cmd_oracle(args) -> int:
             f"d = {args.d} > {MAX_ORACLE_DIM}: direct maximal-function evaluation "
             "needs one two-dimensional quadrature per radius and becomes intractable"
         )
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
     density = _build_density(args, args.d)
     report = run_oracle(
         density,
@@ -279,7 +292,7 @@ def cmd_oracle(args) -> int:
 def cmd_caps(args) -> int:
     if args.s is None and not args.s_grid:
         raise UsageError("caps needs --s or --s-grid")
-    svals = [args.s] if args.s is not None else _range_spec(args.s_grid)
+    svals = [args.s] if args.s is not None else _range_spec(args.s_grid, "--s-grid")
     for s in svals:
         if not (0.0 <= s < 1.0):
             raise UsageError(f"s must lie in [0, 1), got {s}")

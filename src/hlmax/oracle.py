@@ -15,14 +15,15 @@ points are one quadrature call (up to ``_MAX_GRID_POINTS`` points a call)
 that carries the numerator (capped at vR) of every grid ball and the
 denominator of every ball that meets B(0, vR); the golden-section
 refinements then run in lockstep, one call for the first two probes and one
-per step for every point still refining, with each distinct ball measured
-once a call. ``run_oracle`` makes one sweep at every d <= 10: R e1 (20
-steps) first, then, for d <= 6, the level-set points (12 steps), so
-``oracle --samples 2`` makes 23 quadrature calls and ``--samples 20`` 23
-too. R is also the first level-set point, so its two lanes share their
-balls for 12 steps. The library's radius grid has 64 radii by default; the
-CLI asks for 128. The QUADPACK integrands read the density through the
-scalar ``RadialDensity.f_at``.
+per three steps for every point still refining (the 7 radii those steps may
+probe), with each distinct ball measured once a call. ``run_oracle`` makes
+one sweep at every d <= 10: R e1 (20 steps) first, then, for d <= 6, the
+level-set points (12 steps), so ``oracle --samples 2`` makes 10 quadrature
+calls and ``--samples 20`` 10 too (23 at one call a step). R is also the
+first level-set point, so its two lanes share their balls for 12 steps.
+The library's radius grid has 64 radii by default; the CLI asks for 128.
+The QUADPACK integrands read the density through the scalar
+``RadialDensity.f_at``.
 """
 from __future__ import annotations
 
@@ -97,9 +98,10 @@ def maximal_sweep(
     ``grid`` radii together), ``_MAX_GRID_POINTS`` norms at most; the
     zero-measure check and the argmax are per norm. Balls of one call are
     independent jobs, so a norm's grid has the bits of a call of its own.
-    The refinements run in lockstep: one call per step
-    carries one radius for every point still refining, and a ball that two
-    lanes probe together is measured once.
+    The refinements run in lockstep: one call per three steps carries the
+    7 radii those steps may probe for every point still refining, with the
+    bits of one call a step, and a ball that two lanes probe together is
+    measured once.
     """
     d = density.dim
     if d > MAX_ORACLE_DIM:

@@ -10,9 +10,10 @@ into an exact normalized cap area per quadrature node.
 Log-singularity masses are computed an array of radii at a time: the radii
 are clipped at the support radius, and each distinct one is one job of a
 batched quadrature call (at most ``_MAX_MASS_JOBS`` a call). ``growth_h``
-takes an array of radii, so a step of the growth-hypothesis search is at
-most one quadrature call. Jobs of a call are refined independently, so a
-batched mass has the bits of the same mass computed alone.
+takes an array of radii, so a call of the growth-hypothesis search, which
+settles three steps with 7 radii (14 masses), is at most one quadrature
+call. Jobs of a call are refined independently, so a batched mass has the
+bits of the same mass computed alone.
 """
 from __future__ import annotations
 

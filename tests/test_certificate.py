@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hlmax.certificate as certificate
 from hlmax.certificate import (
@@ -22,7 +24,8 @@ from hlmax.certificate import (
     golden_section_max,
     lemma_certificate,
 )
-from hlmax.errors import DomainError, HypothesisViolationError
+from hlmax.certificate import _INVPHI, _bisect_upper_boundary
+from hlmax.errors import DomainError, HypothesisViolationError, QuadraturePrecisionError
 from hlmax.radial import RadialDensity, growth_h
 from hlmax.specfun import log_ball_volume, log_sphere_area
 
@@ -328,7 +331,8 @@ class TestPreparedTerms:
             terms.certificate(0.9)
 
     def test_bisection_stops_at_its_fixed_point(self, monkeypatch):
-        # running all 90 bisection steps costs 219 h_u evaluations per certificate
+        # running all 90 bisection steps costs 41 growth_h calls per
+        # certificate; stopping at the fixed point, 29
         calls = [0]
         growth_h = certificate.growth_h
 
@@ -338,13 +342,14 @@ class TestPreparedTerms:
 
         monkeypatch.setattr(certificate, "growth_h", counted)
         res = DecpTerms.prepare(RadialDensity.restricted_lebesgue(60)).result(1.0)
-        assert calls[0] < 219
+        assert calls[0] < 41
         assert res.r1 == 1.194397343722166  # bit-identical to the 90-step value
 
-    def test_decp_prepare_makes_one_quadrature_call_per_search_step(self, monkeypatch):
-        # grid (7 calls of at most 16 masses), 25 golden-section calls, the
-        # tail, one call per bisection step and per window check, then the
-        # witness terms: 90 calls (354 with one mass a call)
+    def test_decp_prepare_settles_three_search_steps_per_call(self, monkeypatch):
+        # grid (7 calls of at most 16 masses), the two first golden-section
+        # probes (1 call), 24 golden-section steps (8 calls of 7 radii), about
+        # 52 bisection steps (18 calls), the window check (1 call), then the
+        # witness terms (4 calls): 39 calls, against 89 at one call a step
         import hlmax.radial as radial
 
         calls = [0]
@@ -356,7 +361,7 @@ class TestPreparedTerms:
 
         monkeypatch.setattr(radial, "log_integrate_batch", counted)
         terms = DecpTerms.prepare(RadialDensity.log_singularity(100))
-        assert calls[0] <= 100
+        assert calls[0] == 39
         assert terms.witness.R == 1.1748885227502617
 
 
@@ -372,7 +377,7 @@ class TestGoldenSection:
         # per bracket the same steps as a one-lane search of its own, so the
         # same bits;
         # one call of f serves both first probes of every bracket, then one
-        # call per step every bracket still searching
+        # call per three steps of every bracket still searching
         peaks = [0.3, 0.45, 0.8, 0.1]
         lo, hi, steps = [0.0, 0.2, 0.5, -1.0], [1.0, 0.9, 1.0, 0.5], [0, 7, 30, 12]
         calls = []
@@ -382,14 +387,166 @@ class TestGoldenSection:
             return [-((t - peaks[i]) ** 2) for t, i in zip(x, lanes)]
 
         xs, fxs = golden_section_max(f, lo, hi, steps)
-        assert len(calls) == 1 + max(steps)
+        assert len(calls) == 1 + 10  # ceil(30 / 3) lookahead calls
         assert calls[0] == 2 * len(peaks)
+        # the 7 probes of the 3 next steps of each of the 3 searching lanes
+        assert calls[1] == 3 * 7
         for i, peak in enumerate(peaks):
             x, fx = golden_section_max(
                 lambda x, lanes: [-((t - peak) ** 2) for t in x],
                 [lo[i]], [hi[i]], [steps[i]],
             )
             assert (xs[i], fxs[i]) == (x[0], fx[0])
+
+
+def _golden_one_step(f, a, b, iters):
+    """Reference: the golden-section search making one call of f a step."""
+    a, b = [float(t) for t in a], [float(t) for t in b]
+    lanes = list(range(len(a)))
+    c = [b[i] - _INVPHI * (b[i] - a[i]) for i in lanes]
+    d = [a[i] + _INVPHI * (b[i] - a[i]) for i in lanes]
+    first = list(f(c + d, lanes + lanes))
+    fc, fd = first[:len(lanes)], first[len(lanes):]
+    for step in range(max(iters, default=0)):
+        live = [i for i in lanes if step < iters[i]]
+        up = [fc[i] > fd[i] for i in live]
+        probes = []
+        for i, left in zip(live, up):
+            if left:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = b[i] - _INVPHI * (b[i] - a[i])
+                probes.append(c[i])
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = a[i] + _INVPHI * (b[i] - a[i])
+                probes.append(d[i])
+        for i, left, val in zip(live, up, f(probes, live)):
+            if left:
+                fc[i] = val
+            else:
+                fd[i] = val
+    best = [(c[i], fc[i]) if fc[i] > fd[i] else (d[i], fd[i]) for i in lanes]
+    return np.array([x for x, _ in best]), np.array([fx for _, fx in best])
+
+
+def _bisect_one_step(f, lo, hi, threshold):
+    """Reference: the bisection making one call of f a step."""
+    for _ in range(90):
+        mid = math.sqrt(lo * hi)
+        if f([mid], [0])[0] >= threshold:
+            moved, lo = mid != lo, mid
+        else:
+            moved, hi = mid != hi, mid
+        if not moved:
+            break
+    return lo
+
+
+def _objective(kind, peaks, seen, bad=None):
+    """f(xs, lanes) for the search tests: it records every (lane, probe) in
+    ``seen`` and raises at the probe ``bad``. "rough" draws from a few values,
+    -inf and NaN among them, by the probe's hash, so ties are common."""
+
+    def value(i, x):
+        if kind == "peak":
+            return -((x - peaks[i]) ** 2)
+        if kind == "flat":
+            return 0.0
+        if kind == "tied":
+            return float(round(2.0 * math.sin(5.0 * x)))
+        return (0.0, 1.0, -math.inf, math.nan, 2.5)[hash((i, x)) % 5]
+
+    def f(xs, lanes):
+        probes = list(zip(lanes, xs))
+        seen.update(probes)
+        if bad in probes:
+            raise QuadraturePrecisionError("probe did not converge")
+        return [value(i, x) for i, x in probes]
+
+    return f
+
+
+_KINDS = st.sampled_from(["peak", "flat", "tied", "rough"])
+# (lookahead search, one-step reference) pairs, each a function of f
+_PEAKS = [1.45, 0.3]
+_SEARCHES = {
+    "golden": (
+        lambda f: golden_section_max(f, [0.5, 0.2], [2.0, 0.9], [20, 13]),
+        lambda f: _golden_one_step(f, [0.5, 0.2], [2.0, 0.9], [20, 13]),
+    ),
+    "bisection": (
+        lambda f: _bisect_upper_boundary(f, 1.2, 2.0, -0.09),
+        lambda f: _bisect_one_step(f, 1.2, 2.0, -0.09),
+    ),
+}
+
+
+class TestLookahead:
+    """Three steps a call give the bits and probes of one step a call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.floats(-10.0, 10.0),  # bracket start
+                st.floats(1e-9, 10.0),  # bracket width
+                st.integers(0, 40),  # steps
+                st.floats(-12.0, 22.0),  # peak
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        kind=_KINDS,
+    )
+    def test_golden_section_matches_one_step_search(self, lanes, kind):
+        lo = [a for a, _, _, _ in lanes]
+        hi = [a + w for a, w, _, _ in lanes]
+        steps = [k for _, _, k, _ in lanes]
+        peaks = [m for _, _, _, m in lanes]
+        ref_seen, seen = set(), set()
+        ref = _golden_one_step(_objective(kind, peaks, ref_seen), lo, hi, steps)
+        got = golden_section_max(_objective(kind, peaks, seen), lo, hi, steps)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
+        assert ref_seen <= seen
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lo=st.floats(1e-6, 10.0),
+        ratio=st.one_of(st.just(1.0), st.floats(1.0, 1.0 + 1e-12), st.floats(1.0, 1e3)),
+        threshold=st.floats(-1.0, 2.0),
+        kind=_KINDS,
+        peak=st.floats(0.0, 20.0),
+    )
+    def test_bisection_matches_one_step_search(self, lo, ratio, threshold, kind, peak):
+        hi = lo * ratio
+        ref_seen, seen = set(), set()
+        ref = _bisect_one_step(_objective(kind, [peak], ref_seen), lo, hi, threshold)
+        got = _bisect_upper_boundary(_objective(kind, [peak], seen), lo, hi, threshold)
+        assert got == ref
+        assert ref_seen <= seen
+
+    @pytest.mark.parametrize("search", ["golden", "bisection"])
+    def test_error_off_the_path_is_redone_one_step_deep(self, search):
+        lookahead, one_step = _SEARCHES[search]
+        ref_seen, seen = set(), set()
+        ref = one_step(_objective("peak", _PEAKS, ref_seen))
+        lookahead(_objective("peak", _PEAKS, seen))
+        off_path = sorted(seen - ref_seen)
+        assert off_path
+        for bad in off_path[::5]:
+            got = lookahead(_objective("peak", _PEAKS, set(), bad))
+            assert repr(got) == repr(ref)
+
+    @pytest.mark.parametrize("search", ["golden", "bisection"])
+    def test_error_on_the_path_raises(self, search):
+        lookahead, one_step = _SEARCHES[search]
+        ref_seen = set()
+        one_step(_objective("peak", _PEAKS, ref_seen))
+        for bad in sorted(ref_seen)[::7]:
+            with pytest.raises(QuadraturePrecisionError):
+                one_step(_objective("peak", _PEAKS, set(), bad))
+            with pytest.raises(QuadraturePrecisionError):
+                lookahead(_objective("peak", _PEAKS, set(), bad))
 
 
 class TestUniversal:

@@ -573,6 +573,18 @@ class TestRejectedInput:
                 "usage error: --d-range values must be integers, got 10.5",
             ),
             ("caps --d 10 --s-grid 0.1:inf:0.1", "usage error: bad range"),
+            (
+                "caps --d 10 --s-grid a:b:c",
+                "usage error: --s-grid must be three numbers start:stop:step, got 'a:b:c'",
+            ),
+            (
+                "scan --construction lebesgue-ball --d-range 10:10:1 --p-list 1,x",
+                "usage error: --p-list must be comma-separated numbers, got '1,x'",
+            ),
+            (
+                "oracle --family lebesgue --d 3 --seed -5 --samples 2",
+                "usage error: --seed must be a nonnegative integer, got -5",
+            ),
             ("caps --d 1 --s 0.3", "error: cap area formulas need integer dim >= 2"),
             ("certify --construction lebesgue-ball --d 5 --p 1 --config", "usage error: --config"),
             (

@@ -132,22 +132,23 @@ class TestWork:
     @pytest.mark.parametrize("samples, budget", [(2, 30), (20, 50)])
     def test_quadrature_calls_per_request(self, capsys, monkeypatch, samples, budget):
         # one grid call for all points, one call for the two first
-        # golden-section probes and one per step for all points: 23 calls
+        # golden-section probes and one per three steps for all points: 10 calls
         assert 0 < self._oracle_calls(capsys, monkeypatch, samples) <= budget
 
-    def test_two_samples_make_23_calls(self, capsys, monkeypatch):
-        # one grid call, 21 golden-section calls, one for the certificate
-        assert self._oracle_calls(capsys, monkeypatch, 2) == 23
+    def test_two_samples_make_10_calls(self, capsys, monkeypatch):
+        # one grid call, 8 golden-section calls (the first probes, then
+        # ceil(20 / 3) calls of three steps), one for the certificate; 23 at
+        # one call a step
+        assert self._oracle_calls(capsys, monkeypatch, 2) == 10
 
-    def test_twenty_samples_make_23_calls(self, capsys, monkeypatch):
+    def test_twenty_samples_make_10_calls(self, capsys, monkeypatch):
         # the grid call carries all 20 points
-        assert self._oracle_calls(capsys, monkeypatch, 20) == 23
+        assert self._oracle_calls(capsys, monkeypatch, 20) == 10
 
     def test_r_is_swept_once(self, capsys, monkeypatch):
         # R e1 (20 steps) is also the first level-set point (12 steps): for
-        # 12 steps the two lanes probe the same two balls, which each step
-        # call measures once, so it carries 4 balls (2 points x numerator
-        # and denominator) rather than 6
+        # 12 steps the two lanes probe the same balls, which each call
+        # measures once
         sizes = []
         inner = oracle._offcenter_logs
 
@@ -160,9 +161,11 @@ class TestWork:
         assert main(argv) == 0
         capsys.readouterr()
         # one grid call of 2 x 128 balls with their denominators, both
-        # first probes of 2 points, 12 steps of 2 points, 8 steps of R alone
+        # first probes of 2 points, then calls of three steps: 4 of 2 points
+        # (7 radii each), 2 of R alone and 1 of its last two steps (3 radii),
+        # each radius a numerator and a denominator
         assert 2 * 128 < sizes[0] <= 2 * 2 * 128
-        assert sizes[1:] == [8] + [4] * 12 + [2] * 8
+        assert sizes[1:] == [8] + [28] * 4 + [14] * 2 + [6]
 
     def test_d4_calls_converge_in_one_round(self, monkeypatch):
         # in theta the (1 - s)^(3/2) endpoint of the d = 4 cap fraction is
@@ -184,7 +187,7 @@ class TestWork:
         monkeypatch.setattr(quadrature, "_eval_panels", counted_eval)
         argv = ["oracle", "--family", "power", "--t", "0.5", "--d", "4", "--samples", "2"]
         assert main(argv) == 0
-        assert rounds == [1] * 23
+        assert rounds == [1] * 10
 
     def test_dual_path_makes_no_nested_quadrature(self, monkeypatch):
         # two origin masses and one off-center mass whose angular factor is

@@ -333,6 +333,27 @@ class TestOffCenter:
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+class TestKnownLensDefects:
+    """Known defects of ``_offcenter_logs`` on thin balls and thin lenses
+    (ROADMAP item 3): 1 - s is formed by subtracting rounded numbers."""
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True)
+    def test_thin_ball_far_from_the_origin(self):
+        # silently 4.4e-12 off, relative in the log (3.7e-15 or better
+        # wherever r / c >= 0.1)
+        r = 0.01
+        got = _offcenter_logs(RadialDensity.lebesgue(4), 5.0, [r])[0]
+        assert got == pytest.approx(math.log(math.pi ** 2 * r ** 4 / 2.0), rel=1e-14, abs=0.0)
+
+    @pytest.mark.xfail(raises=QuadraturePrecisionError, strict=True)
+    @pytest.mark.parametrize("gap", [1e-6, 1e-12])
+    def test_thin_lens_converges(self, gap):
+        # B(0.85 e1, r) reaches gap * 0.8 past the cap sphere |x| = 0.8
+        r = 0.05 + gap * 0.8
+        got = _offcenter_logs(RadialDensity.restricted_lebesgue(4), 0.85, [r], [0.8])[0]
+        assert -math.inf < got < math.log(math.pi ** 2 * r ** 4 / 2.0)
+
+
 class TestHighDimension:
     def test_boundary_peaked_integrand_d400(self):
         # restricted Lebesgue at the main construction radius, d = 400
