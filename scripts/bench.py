@@ -13,8 +13,10 @@ host falls on both sides alike (about 45 minutes in all). A side's figure
 is its median over the pairs. The file also lists every run's value of
 each end-to-end metric and every run's passes, for every end-to-end metric
 the pairs the change wins and the parent's quartiles (see ``pair_stats``),
-the change against the parent, a verdict per end-to-end metric (see
-``verdict``; any but ``ok`` is also printed to stderr), the per-layer
+the line of peak RSS against kept passes over both sides' runs (see
+``rss_per_pass``), the change against the parent, a verdict per end-to-end
+metric (see ``verdict``; any but ``ok`` is also printed to stderr), the
+per-layer
 metrics of one traced run a side (seed 1), and each side against the
 change side of the previous BENCH_*.json. perfbench itself is only run,
 never changed.
@@ -121,6 +123,17 @@ def pair_stats(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def rss_per_pass(rss: list[float], passes: list[int]) -> dict | None:
+    """The least-squares line of peak RSS (MB) against the passes a run
+    kept: ``slope`` in MB per kept pass and ``intercept`` in MB; None if
+    every run kept the same number of passes. A faster change keeps more
+    passes, so the slope is what it pays in peak RSS for its speed."""
+    if len(set(passes)) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(passes, rss)
+    return {"slope": float(f"{slope:.4g}"), "intercept": float(f"{intercept:.4g}")}
+
+
 def medians(runs: list[dict]) -> dict:
     return {name: float(f"{statistics.median(r[name] for r in runs):.4g}") for name in runs[0]}
 
@@ -182,6 +195,10 @@ def main() -> int:
             # peak RSS grows with the passes a run keeps, so they are listed
             # run by run too
             entry["passes_runs"] = passes
+            rss = entry["runs"]["peak_rss_mb"]
+            entry["rss_mb_per_pass"] = rss_per_pass(
+                rss["parent"] + rss["change"], passes["parent"] + passes["change"]
+            )
             entry["pair_stats"] = {
                 m["name"]: pair_stats(**entry["runs"][m["name"]], better=m["better"])
                 for m in bench["end_to_end"]

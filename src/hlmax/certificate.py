@@ -101,8 +101,9 @@ class Certificate:
 
     def __post_init__(self):
         # each check reads "not (ok)", so a NaN anywhere fails it
-        h2 = self.H * self.H
-        if not abs(h2 - self.R * self.R * (1.0 + self.v * self.v)) <= 1e-12 * h2:
+        # (H/R)^2, not H^2, so a large R cannot overflow the check
+        ratio2, want = (self.H / self.R) ** 2, 1.0 + self.v * self.v
+        if not abs(ratio2 - want) <= 1e-12 * want:
             raise DomainError("H must equal R sqrt(1 + v^2)")
         if not self.term_inner <= self.term_level + 1e-9:
             raise DomainError("inner ball cannot outweigh the level ball")
@@ -229,6 +230,9 @@ class WitnessTerms:
         if not 0.0 < R < math.inf:
             raise DomainError(f"R must lie in (0, inf), got {R}")
         H = R * math.sqrt(1.0 + v * v)
+        if not math.isfinite(H * H):
+            # the off-center ball's cap threshold squares its radii
+            raise DomainError(f"R = {R} is too large: H^2 = R^2 (1 + v^2) overflows")
         inner = log_ball_at_origin(density, v * R)
         if inner == NEG_INF:
             raise EmptyTestFunctionError(f"mu(B(0, {v * R})) = 0: empty test function")

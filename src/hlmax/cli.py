@@ -36,7 +36,7 @@ from .certificate import (
     critical_p,
 )
 from .errors import DomainError, HypothesisViolationError, NumericalError
-from .oracle import MAX_ORACLE_DIM, run_oracle
+from .oracle import MAX_GRID, MAX_ORACLE_DIM, run_oracle
 from .radial import RadialDensity, parse_kv, parse_segments
 from .specfun import cap_area_bounds, log_cap_fraction
 
@@ -272,6 +272,8 @@ def cmd_oracle(args) -> int:
         )
     if args.seed < 0:
         raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
+    if args.grid > MAX_GRID:
+        raise UsageError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
     density = _build_density(args, args.d)
     report = run_oracle(
         density,
@@ -391,7 +393,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--R", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--grid", type=int, default=128)
+    sp.add_argument("--grid", type=int, default=128, help=f"radii, 64 to {MAX_GRID}")
     _add_common(sp)
     sp.set_defaults(func=cmd_oracle)
 

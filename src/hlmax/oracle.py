@@ -12,15 +12,19 @@ the import takes about 0.65 s, which only `oracle` should pay.
 
 ``maximal_sweep`` evaluates many points at once. The radius grids of all
 points are one quadrature call (up to ``_MAX_GRID_POINTS`` points a call)
-that carries the numerator (capped at vR) of every grid ball and the
-denominator of every ball that meets B(0, vR); the golden-section
+that carries the numerator (capped at vR) of each point's grid balls up to
+the first that holds all the mass of B(0, vR), and the denominator of each
+of these that meets B(0, vR) without lying in it; the golden-section
 refinements then run in lockstep, one call for the first two probes and one
 per three steps for every point still refining (the 7 radii those steps may
-probe), with each distinct ball measured once a call. ``run_oracle`` makes
-one sweep at every d <= 10: R e1 (20 steps) first, then, for d <= 6, the
-level-set points (12 steps), so ``oracle --samples 2`` makes 10 quadrature
-calls and ``--samples 20`` 10 too (23 at one call a step). R is also the
-first level-set point, so its two lanes share their balls for 12 steps.
+probe), with each distinct ball measured once a call. A point whose grid
+maximum is a log ratio of exactly 0, at a bracket of balls inside B(0, vR),
+is not refined. No skipped ball could change a result's bits (see
+``maximal_sweep``). ``run_oracle`` makes one sweep at every d <= 10: R e1
+(20 steps) first, then, for d <= 6, the level-set points (12 steps), so
+``oracle --samples 2`` makes 10 quadrature calls and ``--samples 20`` 10
+too (23 at one call a step). R is also the first level-set point, so its
+two lanes share their balls for 12 steps.
 The library's radius grid has 64 radii by default; the CLI asks for 128.
 The QUADPACK integrands read the density through the scalar
 ``RadialDensity.f_at``.
@@ -40,6 +44,9 @@ from .radial import RadialDensity, _offcenter_logs
 MAX_ORACLE_DIM = 10
 MAX_SAMPLING_DIM = 6
 DEFAULT_GRID = 64
+# radii per grid: a grid call holds up to _MAX_GRID_POINTS times this many
+# balls, each about 16 panels of 15 nodes, so the cap bounds its memory
+MAX_GRID = 1024
 DEFAULT_REFINE = 20
 LEVEL_SET_REFINE = 12
 LEVEL_SET_SLACK = 1e-6  # log units: M >= alpha is checked as M >= alpha - slack
@@ -57,25 +64,30 @@ def _ratio_logs(density, v_radius, centers, rs):
     Only a ball that meets B(0, vR) inside the support gets a denominator
     (the test is the numerator's own radial range, max(c - r, 0) <
     min(c + r, supp, vR)): any other has ratio -inf whatever its measure,
-    and its denominator reads -inf.
+    and its denominator reads -inf. A ball with min(c + r, supp) <= vR has
+    the numerator's radial range, so its denominator is the numerator's
+    float and is not measured again.
     """
     n = len(rs)
-    meet = np.maximum(centers - rs, 0.0) < np.minimum(
-        np.minimum(centers + rs, density.support_radius), v_radius
-    )
-    n_meet = int(np.count_nonzero(meet))
+    reach = np.minimum(centers + rs, density.support_radius)
+    meet = np.maximum(centers - rs, 0.0) < np.minimum(reach, v_radius)
+    inside = meet & (reach <= v_radius)
+    apart = meet & ~inside
+    n_apart = int(np.count_nonzero(apart))
     both = _offcenter_logs(
         density,
-        np.concatenate([centers, centers[meet]]),
-        np.concatenate([rs, rs[meet]]),
-        np.concatenate([np.full(n, v_radius), np.full(n_meet, math.inf)]),
+        np.concatenate([centers, centers[apart]]),
+        np.concatenate([rs, rs[apart]]),
+        np.concatenate([np.full(n, v_radius), np.full(n_apart, math.inf)]),
         _ORACLE_REL_TOL,
     )
+    nums = both[:n]
     dens = np.full(n, NEG_INF)
-    dens[meet] = both[n:]
+    dens[apart] = both[n:]
+    dens[inside] = nums[inside]
     out = np.full(n, NEG_INF)
     live = dens > NEG_INF
-    out[live] = both[:n][live] - dens[live]
+    out[live] = nums[live] - dens[live]
     return out, dens
 
 
@@ -94,10 +106,24 @@ def maximal_sweep(
     The supremum over ball radii is approximated by a log-spaced grid over
     [1e-3 vR, 10 (R+H)] plus golden-section refinement around each point's
     argmax; every result is a lower estimate by construction. The grids of
-    all distinct norms share one call (numerators and denominators of their
-    ``grid`` radii together), ``_MAX_GRID_POINTS`` norms at most; the
-    zero-measure check and the argmax are per norm. Balls of one call are
-    independent jobs, so a norm's grid has the bits of a call of its own.
+    all distinct norms share one call (numerators and denominators
+    together), ``_MAX_GRID_POINTS`` norms at most; the zero-measure check
+    and the argmax are per norm. Balls of one call are independent jobs, so
+    a norm's grid has the bits of a call of its own.
+
+    A sweep measures only the balls that can set its result, with the
+    bits of a sweep that measures them all:
+    - a norm c measures its grid up to the first radius r with
+      r - c >= min(supp, vR). From there on the numerator is the same
+      float (the origin mass to min(supp, vR)) and the denominator only
+      grows, so no later radius raises the ratio or moves the argmax;
+      the radii past it read -inf;
+    - a ball with min(c + r, supp) <= vR lies in B(0, vR) as far as the
+      radial range of the quadrature goes, so its denominator is its
+      numerator and its log ratio exactly 0 (see ``_ratio_logs``);
+    - a point whose grid maximum is exactly 0 and whose bracket holds only
+      such balls gets no golden-section steps: each would read 0 or -inf.
+    ``grid`` takes 64 to ``MAX_GRID`` radii.
     The refinements run in lockstep: one call per three steps carries the
     7 radii those steps may probe for every point still refining, with the
     bits of one call a step, and a ball that two lanes probe together is
@@ -111,25 +137,42 @@ def maximal_sweep(
         )
     if grid < 64:
         raise DomainError(f"grid must have at least 64 radii, got {grid}")
+    if grid > MAX_GRID:
+        raise DomainError(f"grid must have at most {MAX_GRID} radii, got {grid}")
     eval_radii = np.asarray(eval_radii, dtype=float)
     if not (0.0 < v <= 1.0 and R > 0.0 and np.all(eval_radii >= 0.0)):
         raise DomainError("need v in (0,1], R > 0, eval_radius >= 0")
     H = R * math.sqrt(1.0 + v * v)
+    v_radius = v * R
+    supp = density.support_radius
     rs = np.geomspace(1e-3 * v * R, 10.0 * (R + H), grid)
     points, point_of = np.unique(eval_radii, return_inverse=True)
     n = len(points)
-    ratios = np.empty((n, grid))
-    dens = np.empty((n, grid))
+    # a norm measures its grid up to the first radius whose numerator is the
+    # origin mass to min(supp, vR): r - c >= min(supp, vR), with r - c
+    # rounded as _offcenter_logs rounds it (r - c grows with r)
+    past = rs - points[:, None] >= min(supp, v_radius)
+    measured = np.ones((n, grid), dtype=bool)
+    measured[:, 1:] = ~past[:, :-1]
+    ratios = np.full((n, grid), NEG_INF)
+    dens = np.full((n, grid), NEG_INF)
     for start in range(0, n, _MAX_GRID_POINTS):
-        chunk = points[start:start + _MAX_GRID_POINTS]
-        vals, dvals = _ratio_logs(density, v * R, np.repeat(chunk, grid), np.tile(rs, len(chunk)))
-        ratios[start:start + len(chunk)] = vals.reshape(-1, grid)
-        dens[start:start + len(chunk)] = dvals.reshape(-1, grid)
+        rows = slice(start, start + _MAX_GRID_POINTS)
+        cells = measured[rows]
+        vals, dvals = _ratio_logs(
+            density, v_radius, np.broadcast_to(points[rows, None], cells.shape)[cells],
+            np.broadcast_to(rs, cells.shape)[cells],
+        )
+        ratios[rows][cells] = vals
+        dens[rows][cells] = dvals
     best = np.empty(n)
     bracket = np.empty((n, 2))
+    settled = np.zeros(n, dtype=bool)
     for k, rho in enumerate(points.tolist()):
         # every grid ball lies in the largest, whose denominator the skip in
-        # _ratio_logs passes over only when it misses B(0, vR)
+        # _ratio_logs passes over only when it misses B(0, vR); a window cut
+        # short ends at a ball holding B(0, vR)'s mass, whose denominator is
+        # finite
         if not np.any(dens[k] > NEG_INF) and (
             _offcenter_logs(density, rho, rs[-1:], None, _ORACLE_REL_TOL)[0] == NEG_INF
         ):
@@ -137,10 +180,12 @@ def maximal_sweep(
         i = int(np.argmax(ratios[k]))
         best[k] = ratios[k, i]
         bracket[k] = (math.log(rs[max(i - 1, 0)]), math.log(rs[min(i + 1, grid - 1)]))
+        # every probe is at most e^(bracket end) (math.exp is monotone)
+        settled[k] = best[k] == 0.0 and min(rho + math.exp(bracket[k, 1]), supp) <= v_radius
     best = best[point_of]
 
     steps = np.broadcast_to(refine, best.shape)
-    lanes = np.flatnonzero(steps > 0)
+    lanes = np.flatnonzero((steps > 0) & ~settled[point_of])
     if len(lanes):
         lane_points = points[point_of[lanes]]
 
@@ -152,7 +197,7 @@ def maximal_sweep(
             slot = {}
             index = [slot.setdefault(ball, len(slot)) for ball in balls]
             centers, radii = np.array(list(slot)).T
-            vals, _ = _ratio_logs(density, v * R, centers, radii)
+            vals, _ = _ratio_logs(density, v_radius, centers, radii)
             return vals[index]
 
         lo, hi = bracket[point_of[lanes]].T
@@ -266,8 +311,10 @@ def empirical_weak_ratio(
     inner = _mass_origin_quad(density, v * R)
     level = _mass_origin_quad(density, R)
     denom = _mass_offcenter_quad(density, R, H)
-    if inner == 0.0 or denom == 0.0:
-        raise DomainError("degenerate configuration: zero mass term")
+    if not all(0.0 < m < math.inf for m in (inner, level, denom)):
+        raise DomainError(
+            "degenerate configuration: a mass term is zero or overflows in linear scale"
+        )
     log_alpha = math.log(inner) - LN2 - math.log(denom)
     return log_alpha + (math.log(level) - math.log(inner)) / p
 
@@ -298,7 +345,8 @@ class OracleReport:
             return False
         if self.level_set_ok is False:
             return False
-        if self.dual_path_gap is not None and abs(self.dual_path_gap) > DUAL_PATH_TOL:
+        # "not (ok)", so a NaN gap fails
+        if self.dual_path_gap is not None and not abs(self.dual_path_gap) <= DUAL_PATH_TOL:
             return False
         return True
 

@@ -6,7 +6,8 @@ exp(-5000) * (smooth bump) come out with full relative accuracy.
 
 Several independent integrals ("jobs") can share one call: panels carry a
 job index plus an opaque tag forwarded to the integrand, and all pending
-panels of one refinement round are evaluated in a single vectorized call.
+panels of one refinement round are evaluated in a single vectorized call
+(a row of 15 nodes and one tag a panel).
 """
 from __future__ import annotations
 
@@ -93,15 +94,19 @@ def _eval_panels(logf, a, b, tags):
     one of logErr."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    lf = np.empty((len(a), _XK.size))
-    # the nodes are built one slice of panels at a time, so no temporary of
-    # the integrand or of this loop exceeds _MAX_NODES nodes
+    # the nodes go to the integrand a slice of panels at a time, so no
+    # temporary of the integrand or of this loop exceeds _MAX_NODES nodes
     per_call = _MAX_NODES // _XK.size
-    for i in range(0, len(a), per_call):
-        j = i + per_call
-        x = (mid[i:j, None] + half[i:j, None] * _XK[None, :]).ravel()
-        lf[i:j] = logf(x, np.repeat(tags[i:j], _XK.size)).reshape(-1, _XK.size)
-    m = np.max(lf, axis=1)
+    if len(a) <= per_call:
+        lf = logf(mid[:, None] + half[:, None] * _XK, tags)
+    else:
+        lf = np.empty((len(a), _XK.size))
+        for i in range(0, len(a), per_call):
+            j = i + per_call
+            lf[i:j] = logf(mid[i:j, None] + half[i:j, None] * _XK, tags[i:j])
+    # a row maximum is exact in any order, and one over the rows of the
+    # transposed copy is a few times faster than one along each short row
+    m = lf.T.copy().max(axis=0)
     finite = np.isfinite(m)
     if finite.all():
         return _panel_logs(lf, m, half)
@@ -119,15 +124,14 @@ def _job_logsumexp(values, job_of, n_jobs):
     flat = values.ravel()
     m = np.full(rows * n_jobs, -math.inf)
     np.maximum.at(m, idx, flat)
-    finite = np.isfinite(m)
+    # a panel value is finite or -inf, so a job's maximum is -inf only if
+    # its sum is 0: it shifts by 0 and its log sum stays -inf
+    m[m == -math.inf] = 0.0
     # a -inf panel of a finite job adds exp(-inf) = 0; bincount adds in
     # panel order, as np.add.at does
-    shifted = np.bincount(
-        idx, weights=np.exp(flat - np.where(finite, m, 0.0)[idx]), minlength=rows * n_jobs
-    )
-    out = np.full(rows * n_jobs, -math.inf)
-    out[finite] = m[finite] + np.log(shifted[finite])
-    return out.reshape(rows, n_jobs)
+    shifted = np.bincount(idx, weights=np.exp(flat - m[idx]), minlength=rows * n_jobs)
+    with np.errstate(divide="ignore"):
+        return (m + np.log(shifted)).reshape(rows, n_jobs)
 
 
 def log_integrate_batch(
@@ -142,14 +146,18 @@ def log_integrate_batch(
     """Log of several integrals of exp(logf) over their initial panels
     [a[k], b[k]].
 
-    ``logf(x, tags)`` must be vectorized and elementwise (a node's value
-    may not depend on the other nodes of the call); ``tags`` rides along
-    with each panel so one closure can serve many parameterized
-    integrands. Panels whose job error stays above ``rel_tol`` (relative,
-    in linear terms) are bisected until convergence or until the per-job
-    budget is exhausted, which raises rather than returning a silent
-    estimate. Every pending job refines in every round, so a job gets the
-    bits and the round count of a call of its own whatever jobs share it.
+    ``logf(x, tags)`` gets the nodes of a slice of panels as an array of
+    shape (panels, 15), one row of Kronrod nodes a panel, with ``tags`` one
+    integer a panel (so per-panel parameters broadcast as ``p[tags, None]``),
+    and returns the log integrand in the nodes' shape. It must be
+    elementwise: a node's value may not depend on the other nodes of the
+    call. ``tags`` rides along with each panel so one closure can serve
+    many parameterized integrands. Panels whose job error stays above
+    ``rel_tol`` (relative, in linear terms) are bisected until convergence
+    or until the per-job budget is exhausted, which raises rather than
+    returning a silent estimate. Every pending job refines in every round,
+    so a job gets the bits and the round count of a call of its own
+    whatever jobs share it.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -347,7 +347,13 @@ def _log_radial_mass(density: RadialDensity, radii, rel_tol: float) -> np.ndarra
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     out = np.full(len(radii), NEG_INF)
     pos = radii > 0.0
-    if density.pieces:
+    if len(density.pieces) == 1:
+        # _mass_closed's one term, its constants hoisted: the same float
+        # operations in the same order
+        end, coef, _, a = density.pieces[0]
+        log_coef, log_a = math.log(coef), math.log(a)
+        out[pos] = [log_coef + a * math.log(min(c, end)) - log_a for c in radii[pos].tolist()]
+    elif density.pieces:
         out[pos] = [_mass_closed(density, c) for c in radii[pos].tolist()]
     elif pos.any():
         out[pos] = _mass_quad(density, radii[pos], rel_tol)
@@ -417,16 +423,18 @@ def _offcenter_logs(
     call in rho averages at most about 1.13 rounds.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if not np.all(radii > 0.0):
+    if not (radii > 0.0).all():
         raise DomainError("ball radii must be positive")
     n = len(radii)
-    caps = np.full(n, math.inf) if rho_caps is None else np.atleast_1d(
-        np.asarray(rho_caps, dtype=float)
-    )
-    if not np.all(caps >= 0.0):
-        raise DomainError("cap radius must be nonnegative")
-    centers = np.broadcast_to(np.asarray(center_radius, dtype=float), (n,))
-    if not np.all(centers >= 0.0):
+    caps = math.inf
+    if rho_caps is not None:
+        caps = np.atleast_1d(np.asarray(rho_caps, dtype=float))
+        if not (caps >= 0.0).all():
+            raise DomainError("cap radius must be nonnegative")
+    centers = np.asarray(center_radius, dtype=float)
+    if centers.shape != (n,):
+        centers = np.broadcast_to(centers, (n,))
+    if not (centers >= 0.0).all():
         raise DomainError("center radius must be nonnegative")
     d = density.dim
     log_sigma = log_sphere_area(d)
@@ -471,19 +479,19 @@ def _offcenter_logs(
         seg_r0 = centers[seg_ball]
         seg_r = radii[seg_ball]
 
-        def logf(x, t):
-            r0 = seg_r0[t]
-            r = seg_r[t]
-            rho = mid[t] + half[t] * np.sin(x) if theta else x
+        def logf(x, t):  # x: a row of nodes for each panel, t: its segment
+            r0 = seg_r0[t, None]
+            r = seg_r[t, None]
+            rho = mid[t, None] + half[t, None] * np.sin(x) if theta else x
             s = (rho * rho + r0 * r0 - r * r) / (2.0 * rho * r0)
             with np.errstate(divide="ignore"):
                 val = (
                     density.log_f(rho)
                     + (d - 1) * np.log(rho)
-                    + log_cap_fraction(d, np.clip(s, -1.0, 1.0))
+                    + log_cap_fraction(d, s)  # which clips s to [-1, 1]
                 )
                 if theta:
-                    val += np.log(half[t] * np.cos(x))
+                    val += np.log(half[t, None] * np.cos(x))
             return val
 
         quad_parts = log_integrate_batch(
@@ -499,9 +507,12 @@ def _offcenter_logs(
     # log_add of a part and -inf is the part itself, so only balls with both
     # parts need the scalar sum
     total = np.maximum(full_parts, quad_parts)
-    for i in np.flatnonzero((full_parts > NEG_INF) & (quad_parts > NEG_INF)):
-        total[i] = log_add(full_parts[i], quad_parts[i])
-    return np.where(total > NEG_INF, log_sigma + total, NEG_INF)
+    both = np.flatnonzero((full_parts > NEG_INF) & (quad_parts > NEG_INF))
+    if len(both):
+        total[both] = [
+            log_add(f, q) for f, q in zip(full_parts[both].tolist(), quad_parts[both].tolist())
+        ]
+    return log_sigma + total  # -inf stays -inf
 
 
 def log_ball_offcenter(density: RadialDensity, center_radius: float, r: float) -> float:

@@ -66,3 +66,16 @@ def test_pair_stats(change, better, wins, shown):
     assert stats["change_wins"] == wins
     assert stats["parent_quartiles"] == [9.875, 10.12]
     assert stats["gain_shown"] is shown
+
+
+def test_rss_per_pass_fits_a_line():
+    # 0.02 MB more per kept pass over 88 MB, as oracle-lowd reads
+    passes = [100, 110, 120, 130, 140, 150]
+    rss = [88.0 + 0.02 * n for n in passes]
+    fit = bench.rss_per_pass(rss, passes)
+    assert fit["slope"] == pytest.approx(0.02)
+    assert fit["intercept"] == pytest.approx(88.0)
+
+
+def test_rss_per_pass_needs_two_pass_counts():
+    assert bench.rss_per_pass([88.0, 88.5], [120, 120]) is None

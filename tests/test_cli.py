@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -601,6 +602,18 @@ class TestRejectedInput:
             ),
             ("certify --family lebesgue --d 3 --p 1 --R inf", "R must lie in (0, inf), got inf"),
             (
+                "oracle --family lebesgue --d 3 --grid 1025",
+                "usage error: --grid must be at most 1024, got 1025",
+            ),
+            # the linear-scale masses of B(0, 1e150) overflow: a NaN ratio
+            # would print invalid JSON and pass as sound (QUADPACK warns
+            # that the overflowing integral never settles)
+            pytest.param(
+                "oracle --family lebesgue --d 3 --R 1e150 --samples 2",
+                "error: degenerate configuration: a mass term is zero or overflows in linear scale",
+                marks=pytest.mark.filterwarnings("ignore:The maximum number of subdivisions"),
+            ),
+            (
                 "oracle --family lebesgue --d 2 --p nan --samples 2",
                 "usage error: p must lie in [1, inf), got nan",
             ),
@@ -624,6 +637,17 @@ class TestRejectedInput:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and message in err
+
+
+def test_huge_r_is_rejected_before_any_quadrature(capsys):
+    # H^2 overflows at R = 1e300; the quadrature would warn of an invalid
+    # subtraction first, and the check of H would blame H
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *"certify --family lebesgue --d 3 --p 1.1 --R 1e300".split())
+    assert code == 1
+    assert out == ""
+    assert err == "error: R = 1e+300 is too large: H^2 = R^2 (1 + v^2) overflows\n"
 
 
 class TestConfigAndOutput:

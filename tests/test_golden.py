@@ -48,6 +48,8 @@ CLI_CASES = (
     "oracle --family lebesgue --d 8 --samples 2",
     "certify --family piecewise --segments 1:1,inf:1:13 --d 10 --p 1 --construction lemma"
     " --v 0.5 --R 3",
+    # H^2 stays finite: no overflow guard may touch this record
+    "certify --family lebesgue --d 3 --p 1.1 --R 1e150",
 )
 
 PY_CASES = {

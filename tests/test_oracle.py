@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import hlmax.oracle as oracle
 import hlmax.radial as radial
-from hlmax.certificate import lemma_certificate
+from hlmax.certificate import golden_section_max, lemma_certificate
 from hlmax.cli import main
 from hlmax.errors import DomainError, QuadraturePrecisionError
 from hlmax.oracle import (
@@ -160,11 +161,14 @@ class TestWork:
         argv = ["oracle", "--family", "lebesgue", "--d", "3", "--samples", "2"]
         assert main(argv) == 0
         capsys.readouterr()
-        # one grid call of 2 x 128 balls with their denominators, both
-        # first probes of 2 points, then calls of three steps: 4 of 2 points
-        # (7 radii each), 2 of R alone and 1 of its last two steps (3 radii),
-        # each radius a numerator and a denominator
-        assert 2 * 128 < sizes[0] <= 2 * 2 * 128
+        # the grid call: each point's radii up to the first r with
+        # r - c >= vR = 0.5 (97 for R = 1, 94 for the sample c = 0.637),
+        # plus the denominators of the balls among them that meet B(0, vR)
+        # (r > c - vR: 14 and 27); measuring every grid ball took 362
+        assert sizes[0] == 97 + 94 + 14 + 27
+        # both first probes of 2 points, then calls of three steps: 4 of 2
+        # points (7 radii each), 2 of R alone and 1 of its last two steps
+        # (3 radii), each radius a numerator and a denominator
         assert sizes[1:] == [8] + [28] * 4 + [14] * 2 + [6]
 
     def test_d4_calls_converge_in_one_round(self, monkeypatch):
@@ -257,6 +261,98 @@ _FAMILIES = {
     "power": lambda d: RadialDensity.power(d, 0.5),
     "log-singularity": RadialDensity.log_singularity,
 }
+
+
+def _sweep_every_ball(density, v, R, eval_radii, refine, grid):
+    """Reference: ``maximal_sweep`` one point at a time, with every grid
+    ball, every denominator and the golden-section steps of every point."""
+    v_radius = v * R
+    H = R * math.sqrt(1.0 + v * v)
+    rs = np.geomspace(1e-3 * v * R, 10.0 * (R + H), grid)
+    out = []
+    for rho, steps in zip(eval_radii, np.broadcast_to(refine, len(eval_radii)).tolist()):
+        ratios = _ratio_logs_every_denominator(density, v_radius, np.full(grid, rho), rs)
+        i = int(np.argmax(ratios))
+        best = ratios[i]
+        if steps > 0:
+
+            def ratio_at(x, lanes):
+                radii = np.array([math.exp(t) for t in x])
+                return _ratio_logs_every_denominator(
+                    density, v_radius, np.full(len(radii), rho), radii
+                )
+
+            lo, hi = math.log(rs[max(i - 1, 0)]), math.log(rs[min(i + 1, grid - 1)])
+            _, f_best = golden_section_max(ratio_at, [lo], [hi], [steps])
+            best = np.maximum(best, f_best[0])
+        out.append(best)
+    return np.array(out)
+
+
+_SWEEP_FAMILIES = {
+    **_FAMILIES,
+    "truncated-power": lambda d: RadialDensity.truncated_power(d, 0.7),
+    "piecewise": lambda d: RadialDensity.piecewise(d, [(0.5, 2.0), (1.0, 1.0), (1.8, 0.5, 0.5)]),
+    # a zero tail: balls there have ratio -inf, not NaN
+    "piecewise-zero-tail": lambda d: RadialDensity.piecewise(d, [(0.6, 1.0), (2.0, 0.0)]),
+}
+
+
+class TestSweepSkips:
+    """A sweep that skips the balls that cannot set its result has the bits
+    of one that measures every ball."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_SWEEP_FAMILIES)),
+        d=st.integers(2, 6),
+        v=st.one_of(st.just(0.5), st.just(1.0), st.floats(0.05, 1.0)),
+        R=st.one_of(st.just(1.0), st.floats(0.2, 3.0)),
+        # where a point lies against vR: inside, at, just inside and just
+        # past it, and farther out
+        points=st.lists(
+            st.tuples(
+                st.sampled_from(["origin", "inside", "at", "below", "past", "outside", "R"]),
+                st.floats(0.0, 1.0),
+                st.integers(0, 20),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        grid=st.integers(64, 80),
+    )
+    def test_matches_every_ball(self, family, d, v, R, points, grid):
+        dens = _SWEEP_FAMILIES[family](d)
+        v_radius = v * R
+        place = {
+            "origin": lambda u: 0.0,
+            "inside": lambda u: u * v_radius,
+            "at": lambda u: v_radius,
+            "below": lambda u: v_radius * (1.0 - 1e-9),
+            "past": lambda u: v_radius * (1.0 + 1e-9),
+            "outside": lambda u: v_radius + u * 2.0 * R,
+            "R": lambda u: R,
+        }
+        radii = [place[where](u) for where, u, _ in points]
+        steps = [k for _, _, k in points]
+        got = maximal_sweep(dens, v, R, radii, steps, grid)
+        want = _sweep_every_ball(dens, v, R, radii, steps, grid)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_inner_point_takes_no_steps(self, monkeypatch):
+        # the grid maximum of a point well inside B(0, vR) is exactly 0, at
+        # a ball inside B(0, vR): its 20 steps would each read 0
+        calls = []
+        inner = oracle._ratio_logs
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return inner(*args)
+
+        monkeypatch.setattr(oracle, "_ratio_logs", counted)
+        dens = RadialDensity.lebesgue(3)
+        assert maximal_sweep(dens, 0.5, 1.0, [0.1], 20, grid=64)[0] == 0.0
+        assert len(calls) == 1
 
 
 class TestSkippedDenominators:
@@ -371,6 +467,11 @@ class TestRunOracle:
         assert rep.level_set_ok is None
         assert rep.empirical_weak_ratio_log is None
         assert rep.sound()
+
+    def test_nan_dual_path_gap_is_unsound(self):
+        rep = run_oracle(RadialDensity.lebesgue(2), 1.0, 0.5, 1.0, seed=1, samples=2, grid=64)
+        assert rep.sound()
+        assert not dataclasses.replace(rep, dual_path_gap=math.nan).sound()
 
     def test_record_serializes(self):
         import json

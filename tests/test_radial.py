@@ -405,10 +405,10 @@ class TestNodeSlices:
         scale = np.geomspace(0.1, 400.0, n)
         sizes = []
 
-        def logf(x, t):
+        def logf(x, t):  # a row of nodes for each panel, one tag a panel
             sizes.append(x.size)
-            val = -scale[t] * x * x
-            return np.where((t % 3 == 0) & (x < 0.0), -np.inf, val)
+            val = -scale[t, None] * x * x
+            return np.where((t[:, None] % 3 == 0) & (x < 0.0), -np.inf, val)
 
         jobs = np.arange(n)
         whole = log_integrate_batch(logf, np.full(n, -1.0), np.full(n, 1.0), jobs, jobs, n)
@@ -698,10 +698,10 @@ class TestBatchedQuadrature:
     @staticmethod
     def _integrand(calls):
         # job tag 0: a Gaussian bump; tag 1: a square-root log singularity
-        def logf(x, t):
+        def logf(x, t):  # a row of nodes for each panel, one tag a panel
             calls.append(x.size)
             return np.where(
-                t == 0, -290.0 * (x - 0.5) ** 2, 0.5 * np.log(np.abs(x - 0.3) + 1e-300)
+                t[:, None] == 0, -290.0 * (x - 0.5) ** 2, 0.5 * np.log(np.abs(x - 0.3) + 1e-300)
             )
 
         return logf
