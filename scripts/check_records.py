@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Check that a change keeps every benchmark request's output: replay the
 request lists of ``perfbench/workloads.py`` on a parent commit and on the
-working tree, and list each request whose exit code or stdout differs.
+working tree, and list each request whose exit code, stdout or stderr
+differs. A fixed list of malformed and ``--help`` invocations
+(``INVOCATIONS``) is replayed too, with argparse's ``SystemExit`` caught and
+its code recorded, so a change to the parser is checked on its error paths.
 
     python3 scripts/check_records.py [--parent REV] [--seeds 1,2,3]
 
@@ -30,18 +33,46 @@ from perfbench.workloads import WORKLOADS, build_requests  # noqa: E402
 from scripts.bench import export_commit  # noqa: E402
 
 
+# spelled out: the parent's cli need not have a table of its subcommands
+_SUBCOMMANDS = ("certify", "scan", "oracle", "caps", "critical-p")
+INVOCATIONS = [
+    [], ["--help"], ["-h"], ["bogus"], ["-x"], ["-x", "certify"],
+    *([name, flag] for name in _SUBCOMMANDS for flag in ("--help", "-h")),
+    ["certify", "--family", "lebesgue", "--d", "x", "--p", "1"],
+    ["certify", "--construction", "nope", "--d", "3", "--p", "1"],
+    ["certify", "--construction", "nope"],
+    ["certify", "--family", "lebesgue", "--p", "1"],
+    ["certify", "--construction", "lebesgue-ball", "--d", "3", "--p", "1", "extra"],
+    ["scan", "--d-range", "10:20:10"],
+    ["oracle", "--family", "lebesgue", "--d", "3", "--grid", "x"],
+    ["caps", "--d", "3", "--s", "x"],
+    ["critical-p", "--base", "nope"],
+]
+
+
+def _call(main, argv: list[str]) -> list:
+    """Exit code, stdout and stderr of one ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            rc = exc.code
+    return [rc, out.getvalue(), err.getvalue()]
+
+
 def replay(seeds: list[int]) -> dict:
-    """Exit code and stdout of every request, keyed "workload seed index"."""
+    """Exit code, stdout and stderr of every request, keyed "workload seed
+    index", and of every invocation, keyed "invocations index"."""
     from hlmax.cli import main
 
     out = {}
     for workload in WORKLOADS:
         for seed in seeds:
             for req in build_requests(workload, seed):
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-                    rc = main(req["argv"])
-                out[f"{workload} {seed} {req['index']}"] = [rc, buf.getvalue()]
+                out[f"{workload} {seed} {req['index']}"] = _call(main, req["argv"])
+    for i, argv in enumerate(INVOCATIONS):
+        out[f"invocations {i}"] = _call(main, argv)
     return out
 
 
@@ -77,6 +108,8 @@ def main() -> int:
         n = sum(key.startswith(workload + " ") for key in parent)
         bad = sum(key.startswith(workload + " ") for key in differ)
         print(f"{workload}: {n} requests, seeds {args.seeds}, {bad} differ")
+    bad = sum(key.startswith("invocations ") for key in differ)
+    print(f"invocations: {len(INVOCATIONS)}, {bad} differ")
     return 1 if differ else 0
 
 

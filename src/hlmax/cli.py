@@ -13,6 +13,12 @@ accepted and ignored). Scan rows name their construction and the family
 it certified (doubling: power; lebesgue-ball: restricted-lebesgue;
 whatever ``--family`` says); a failed row carries its error, and its
 log_lower and rate_per_dim are null (JSON) or empty (CSV).
+
+Each invocation builds the parser of its own subcommand only (argparse
+spends about a millisecond on the flags of all five); an argv that names
+none, such as no arguments, ``--help`` or an unknown command, gets every
+subcommand. Help and error texts are the same either way. This paragraph
+is left out of the parser's description.
 """
 from __future__ import annotations
 
@@ -364,28 +370,22 @@ def _add_construction_flags(sp) -> None:
     sp.add_argument("--p0-budget", dest="p0_budget", type=float, default=None)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hlmax", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("certify", help="one certificate at a single (d, p)")
+def _certify_flags(sp) -> None:
     _add_density_flags(sp)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     _add_construction_flags(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_certify)
 
-    sp = sub.add_parser("scan", help="certificates over a (d, p) grid")
+
+def _scan_flags(sp) -> None:
     _add_density_flags(sp)
     sp.add_argument("--d-range", dest="d_range", required=True, help="start:stop:step")
     sp.add_argument("--p-list", dest="p_list", required=True, help="comma-separated")
     _add_construction_flags(sp)
     sp.add_argument("--jobs", type=int, help="ignored: cells run in order")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("oracle", help="brute-force check of one configuration")
+
+def _oracle_flags(sp) -> None:
     _add_density_flags(sp)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=float, default=1.0)
@@ -394,21 +394,39 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--grid", type=int, default=128, help=f"radii, 64 to {MAX_GRID}")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_oracle)
 
-    sp = sub.add_parser("caps", help="exact cap areas against the two-sided bounds")
+
+def _caps_flags(sp) -> None:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--s", type=float, default=None)
     sp.add_argument("--s-grid", dest="s_grid", default=None, help="start:stop:step")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_caps)
 
-    sp = sub.add_parser("critical-p", help="closed-form critical exponents")
+
+def _critical_p_flags(sp) -> None:
     sp.add_argument("--base", choices=("decp", "lebesgue_ball"), default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_critical_p)
 
+
+# name: (help line, the flags before the common ones, the command)
+SUBCOMMANDS = {
+    "certify": ("one certificate at a single (d, p)", _certify_flags, cmd_certify),
+    "scan": ("certificates over a (d, p) grid", _scan_flags, cmd_scan),
+    "oracle": ("brute-force check of one configuration", _oracle_flags, cmd_oracle),
+    "caps": ("exact cap areas against the two-sided bounds", _caps_flags, cmd_caps),
+    "critical-p": ("closed-form critical exponents", _critical_p_flags, cmd_critical_p),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The hlmax parser: with only ``command``'s subparser when it names
+    one, with every subparser otherwise."""
+    parser = _Parser(prog="hlmax", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in SUBCOMMANDS else SUBCOMMANDS:
+        help_line, add_flags, cmd = SUBCOMMANDS[name]
+        sp = sub.add_parser(name, help=help_line)
+        add_flags(sp)
+        _add_common(sp)
+        sp.set_defaults(func=cmd)
     return parser
 
 
@@ -433,8 +451,7 @@ def main(argv=None) -> int:
     try:
         if argv and not argv[0].startswith("-"):
             argv = _inject_config(argv)
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         if getattr(args, "d", None) is not None and args.d < 1:
             raise UsageError(f"d must be a positive integer, got {args.d}")
         if getattr(args, "p", None) is not None and not 1 <= args.p < math.inf:

@@ -32,6 +32,7 @@ The QUADPACK integrands read the density through the scalar
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ _ORACLE_REL_TOL = 1e-7
 # points per grid call: more points are measured in several calls, so the
 # panels of one call stay bounded however many samples a request draws
 _MAX_GRID_POINTS = 32
+_DEGENERATE = "degenerate configuration: a mass term is zero or overflows in linear scale"
+# a log mass this far above log(DBL_MAX) overflows in linear scale: the
+# margin is a factor e, and the two quadrature stacks agree to DUAL_PATH_TOL
+_LOG_LINEAR_MAX = math.log(sys.float_info.max) + 1.0
 
 
 def _ratio_logs(density, v_radius, centers, rs):
@@ -312,9 +317,7 @@ def empirical_weak_ratio(
     level = _mass_origin_quad(density, R)
     denom = _mass_offcenter_quad(density, R, H)
     if not all(0.0 < m < math.inf for m in (inner, level, denom)):
-        raise DomainError(
-            "degenerate configuration: a mass term is zero or overflows in linear scale"
-        )
+        raise DomainError(_DEGENERATE)
     log_alpha = math.log(inner) - LN2 - math.log(denom)
     return log_alpha + (math.log(level) - math.log(inner)) / p
 
@@ -391,13 +394,19 @@ def run_oracle(
     irrelevant by rotational invariance), ``LEVEL_SET_REFINE`` golden-section
     steps each. It passes if no margin log M - log alpha is below
     -``LEVEL_SET_SLACK``. One ``maximal_sweep`` evaluates R e1 and the
-    level-set points."""
+    level-set points. Where the level set is sampled, a certificate term of
+    -inf or above ``_LOG_LINEAR_MAX`` is the linear-scale path's
+    degenerate configuration, and fails before the sweep."""
     if samples < 1:
         raise DomainError("need at least one sample")
     cert = lemma_certificate(density, p, v, R)
     sampled = density.dim <= MAX_SAMPLING_DIM
     level = np.empty(0)
     if sampled:
+        # the linear-scale path would fail on these terms, after the sweep
+        terms = (cert.term_inner, cert.term_level, cert.term_denom)
+        if not all(NEG_INF < t <= _LOG_LINEAR_MAX for t in terms):
+            raise DomainError(_DEGENERATE)
         level = np.concatenate([[R], np.random.default_rng(seed).uniform(0.0, R, samples - 1)])
     steps = np.concatenate([[DEFAULT_REFINE], np.full(len(level), LEVEL_SET_REFINE)])
     vals = maximal_sweep(density, v, R, np.concatenate([[R], level]), steps, grid)

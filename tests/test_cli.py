@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib.util
 import io
@@ -13,6 +14,7 @@ import pytest
 import hlmax
 import hlmax.certificate as certificate
 import hlmax.cli as cli
+import hlmax.oracle as oracle
 from hlmax.certificate import critical_p, decp_explicit_constant
 from hlmax.cli import main
 from hlmax.errors import NumericalError, QuadraturePrecisionError
@@ -606,12 +608,10 @@ class TestRejectedInput:
                 "usage error: --grid must be at most 1024, got 1025",
             ),
             # the linear-scale masses of B(0, 1e150) overflow: a NaN ratio
-            # would print invalid JSON and pass as sound (QUADPACK warns
-            # that the overflowing integral never settles)
-            pytest.param(
+            # would print invalid JSON and pass as sound
+            (
                 "oracle --family lebesgue --d 3 --R 1e150 --samples 2",
                 "error: degenerate configuration: a mass term is zero or overflows in linear scale",
-                marks=pytest.mark.filterwarnings("ignore:The maximum number of subdivisions"),
             ),
             (
                 "oracle --family lebesgue --d 2 --p nan --samples 2",
@@ -629,6 +629,19 @@ class TestRejectedInput:
             (
                 "certify --family piecewise --segments 1:1,2:1:inf --d 3 --p 1 --R 1.5",
                 "segment exponents must lie in [0, inf), got inf",
+            ),
+            # argvs that name no subcommand get the parser of all five
+            ("", "usage error: the following arguments are required: command"),
+            (
+                "bogus",
+                "usage error: argument command: invalid choice: 'bogus' (choose from "
+                "'certify', 'scan', 'oracle', 'caps', 'critical-p')",
+            ),
+            ("-x", "usage error: the following arguments are required: command"),
+            (
+                "certify --construction nope",
+                "usage error: argument --construction: invalid choice: 'nope' (choose from "
+                "'lemma', 'decp', 'decp-generalized', 'doubling', 'lebesgue-ball')",
             ),
         ],
     )
@@ -648,6 +661,50 @@ def test_huge_r_is_rejected_before_any_quadrature(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: R = 1e+300 is too large: H^2 = R^2 (1 + v^2) overflows\n"
+
+
+def test_overflowing_oracle_fails_before_the_sweep(capsys, monkeypatch):
+    # the log terms show that the linear masses of B(0, 1e150) overflow, so
+    # neither the sweep nor QUADPACK (which would warn first) runs
+    def unreachable(*args):
+        raise AssertionError("reached after the overflow was known")
+
+    monkeypatch.setattr(oracle, "maximal_sweep", unreachable)
+    monkeypatch.setattr(oracle, "_mass_origin_quad", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(capsys, *"oracle --family lebesgue --d 3 --R 1e150 --samples 2".split())
+    assert got == (
+        1, "", "error: degenerate configuration: a mass term is zero or overflows in linear scale\n"
+    )
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestPerSubcommandParser:
+    @pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+    def test_subparser_help_matches_the_full_parser(self, name):
+        alone = _subparsers(cli.build_parser(name))
+        assert list(alone) == [name]
+        assert alone[name].format_help() == _subparsers(cli.build_parser())[name].format_help()
+
+    def test_main_builds_only_the_named_subparser(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def spy(*args):
+            parser = build(*args)
+            built.append(list(_subparsers(parser)))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        run_cli(capsys, "critical-p")
+        run_cli(capsys, "caps", "--d", "10", "--s", "0.5")
+        run_cli(capsys, "bogus")
+        run_cli(capsys)
+        assert built == [["critical-p"], ["caps"], list(cli.SUBCOMMANDS), list(cli.SUBCOMMANDS)]
 
 
 class TestConfigAndOutput:

@@ -113,6 +113,15 @@ class TestMixedCenters:
         got = _offcenter_logs(RadialDensity.lebesgue(2), 8.75e-11, [3.0], None, 1e-7)
         assert got[0] == pytest.approx(math.log(9.0 * math.pi), rel=1e-12)
 
+    @pytest.mark.xfail(raises=QuadraturePrecisionError, strict=True)
+    def test_sweep_about_a_near_origin_point(self):
+        # the same defect through the sweep, at a point TestSweepSkips may
+        # draw ("inside", u = 1e-12): every ball inside B(0, vR) has ratio
+        # 1, but the lenses of the larger ones never converge (the sweep
+        # raises at u = 1e-10 too, and succeeds at u = 1e-9)
+        got = maximal_sweep(RadialDensity.lebesgue(2), 0.5, 1.0, [1e-12 * 0.5], 0, 64)
+        assert got[0] == 0.0
+
 
 class TestWork:
     @staticmethod
